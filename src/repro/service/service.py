@@ -9,13 +9,18 @@ serving problem in software:
 - clients :meth:`~DecodeService.submit` per-request LLR batches tagged
   with a registry mode and a :class:`~repro.decoder.DecoderConfig`;
 - a dispatcher groups pending requests by ``(mode,
-  config.cache_key())`` and flushes a group when it reaches
+  config.cache_key())``; a group falls due when it reaches
   ``max_batch`` frames (**size trigger**) or its oldest request has
   waited ``max_wait`` seconds (**deadline trigger**) — the standard
   dynamic-batching contract (cf. the NoC-based flexible decoder of
   Condo & Masera and multi-stream GPU LDPC decoders, which win the same
   way: batch independent frames per code to amortize per-code setup);
-- flushed batches decode on a supervised
+- dispatch is **work-conserving**: a due group leaves as soon as a
+  worker is free, earliest-due first, and no sooner — while every
+  worker is busy it keeps waiting in its bucket, where later arrivals
+  of the same group join it, so a loaded service decodes big batches
+  instead of queueing one-frame batches behind its workers;
+- dispatched batches decode on a supervised
   :class:`~repro.runtime.WorkerPool` of threads (numpy kernels release
   the GIL) through decoders cached in a
   :class:`~repro.service.PlanCache`, so a mode switch is a cache hit;
@@ -130,6 +135,7 @@ class _Continuation:
     offsets: tuple
     delivered: list
     attempt: int
+    requeued_at: float = 0.0  # clock when it last joined the dispatch line
 
 
 @dataclass
@@ -176,22 +182,27 @@ class DecodeService:
     Parameters
     ----------
     max_batch:
-        Frame budget per dispatched batch.  A group flushes as soon as
+        Frame budget per dispatched batch.  A group is due as soon as
         its pending frames reach this (requests are never split; one
         request larger than ``max_batch`` dispatches alone, oversized).
     max_wait:
-        Deadline in seconds: a pending request is dispatched no later
-        than this after submission, however empty its group is — the
-        latency bound that makes batching safe for sparse traffic.  The
-        flush clock is anchored to the *oldest* pending request, so
-        tail arrivals can never push an earlier request's dispatch out;
-        and a request with a tight per-request ``timeout`` pulls its
-        group's flush forward (to a full ``max_wait`` before that
-        deadline), so queueing can never consume a request's whole
+        The earliest time, in seconds after its oldest request arrived,
+        that a group may leave short of ``max_batch`` frames; it then
+        goes as soon as a worker is free — at once on an idle service,
+        which is what makes batching safe for sparse traffic.  The
+        clock is anchored to the *oldest* pending request, so tail
+        arrivals can never push an earlier request's dispatch out; and
+        a request with a tight per-request ``timeout`` pulls its
+        group's due time forward (to a full ``max_wait`` before that
+        deadline), so batching can never consume a request's whole
         deadline budget.
     workers:
-        Decode worker threads.  Batches of *different* groups decode
-        concurrently; within a group, dispatch order is preserved.
+        Decode worker threads (or processes), and the bound on batches
+        in flight: the dispatcher hands a batch to the pool only while
+        fewer than ``workers`` are decoding, and a freed worker takes
+        the group that fell due first.  Batches of *different* groups
+        decode concurrently; within a group, dispatch order is
+        preserved.
     cache:
         The :class:`PlanCache` to serve decoders from (default: a fresh
         cache of 32 records).
@@ -353,12 +364,13 @@ class DecodeService:
         #: group key -> _Bucket; insertion order ~ first pending.
         self._buckets: "OrderedDict[tuple, _Bucket]" = OrderedDict()
         #: admitted-but-unresolved frames — queued *or* decoding
-        #: (admission-control view; guarded by _cond).  Counting only
-        #: undispatched frames would let a busy pool defeat the bound:
-        #: the dispatcher eagerly flushes buckets into the pool queue,
-        #: so the admission queue would look empty while unbounded work
-        #: piled up behind the workers.
+        #: (admission-control view; guarded by _cond).
         self._admitted_frames = 0
+        #: pool submissions not yet finished: dispatcher batches,
+        #: retries and continuation slices (guarded by _cond).  The
+        #: dispatcher hands out work only while this is below
+        #: ``workers``; every submission releases it exactly once.
+        self._in_flight = 0
         #: min-heap of (deadline, tiebreak, request) for every admitted
         #: request with a timeout; the dispatcher reaps it (guarded by
         #: _cond).  Entries for already-resolved requests are skipped
@@ -390,9 +402,9 @@ class DecodeService:
         self._retry_timers: dict = {}
         self._retry_lock = threading.Lock()
         self._last_batch_key: tuple | None = None
-        #: sliced decodes awaiting their next iteration slice (guarded
-        #: by _cond); the dispatcher pops them *after* fresh batches, so
-        #: survivors queue behind newly arrived traffic.
+        #: sliced decodes awaiting their next iteration slice, in
+        #: requeue order (guarded by _cond); survivors queue behind
+        #: every batch that fell due before them.
         self._continuations: deque = deque()
         #: mode key -> (pJ per frame-iteration, n_info) for the energy
         #: accounting; benign to race (idempotent rebuild under the GIL).
@@ -690,7 +702,9 @@ class DecodeService:
     def metrics_snapshot(self) -> dict:
         """Service metrics plus plan-cache and worker-pool statistics.
 
-        When any cached decoder is a sharded fabric
+        ``batches_in_flight`` counts pool submissions not yet finished
+        (at most ``workers``, plus retries); it reads 0 on an idle or
+        closed service.  When any cached decoder is a sharded fabric
         (``DecoderConfig(shards=K)``), its aggregated telemetry —
         superstep counts, boundary traffic, barrier wait, per-shard
         sub-sections — nests under ``"fabric"``; the section is absent
@@ -700,6 +714,8 @@ class DecodeService:
         savings nest under ``"policy"``.
         """
         snapshot = self.metrics.snapshot()
+        with self._cond:
+            snapshot["batches_in_flight"] = self._in_flight
         snapshot["plan_cache"] = self.cache.stats()
         snapshot["worker_pool"] = self._pool.stats()
         fabric = self.cache.fabric_stats()
@@ -788,6 +804,56 @@ class DecodeService:
             del self._buckets[key]
         return taken
 
+    def _flush_at(self, bucket: _Bucket) -> float:
+        """When a group falls due short of ``max_batch`` frames.
+
+        A request with a deadline tighter than the group's ``max_wait``
+        window pulls the whole group forward — a full ``max_wait``
+        *before* that deadline (leaving at the deadline itself would
+        lose the race against the reaper), so batching can never eat a
+        request's whole deadline budget.
+        """
+        flush_at = bucket.requests[0].submitted + self.max_wait
+        if bucket.min_deadline is not None:
+            flush_at = min(flush_at, bucket.min_deadline - self.max_wait)
+        return flush_at
+
+    def _take_due(
+        self, now: float, batches: list, continuations: list
+    ) -> "float | None":
+        """Fill the free worker slots with due work (lock held).
+
+        Due groups leave earliest ``flush_at`` first.  A continuation
+        ranks by the time it was requeued, as if that were its
+        ``flush_at``: behind every group whose ``flush_at`` came
+        before, ahead of any whose comes later, so fresh traffic can
+        delay it but never starve it.  Returns the seconds until the
+        next group falls due while a slot is still free, else ``None``:
+        a finishing batch wakes the dispatcher itself.
+        """
+        while self._in_flight < self._pool.workers:
+            due_key = due_at = None
+            for key, bucket in self._buckets.items():
+                flush_at = self._flush_at(bucket)
+                if (bucket.frames >= self.max_batch or flush_at <= now) and (
+                    due_at is None or flush_at < due_at
+                ):
+                    due_key, due_at = key, flush_at
+            waiting = self._continuations
+            if waiting and (due_at is None or waiting[0].requeued_at < due_at):
+                continuations.append(waiting.popleft())
+            elif due_key is not None:
+                full = self._buckets[due_key].frames >= self.max_batch
+                taken = self._take_batch(due_key)
+                batches.append((due_key, taken, "size" if full else "deadline"))
+            else:
+                return min(
+                    (self._flush_at(b) - now for b in self._buckets.values()),
+                    default=None,
+                )
+            self._in_flight += 1
+        return None
+
     def _dispatch_loop(self) -> None:
         while True:
             batches: list[tuple[tuple, list, str]] = []
@@ -812,49 +878,22 @@ class DecodeService:
                     nearest: float | None = (
                         self._timed[0][0] - now if self._timed else None
                     )
-                    for key in list(self._buckets):
-                        bucket = self._buckets[key]
-                        oldest = bucket.requests[0]
-                        # A request with a deadline tighter than the
-                        # group's max_wait window pulls the whole flush
-                        # forward — a full max_wait *before* that
-                        # deadline (flushing at the deadline itself
-                        # would lose the race against the reaper above),
-                        # so queueing can never eat a request's whole
-                        # deadline budget.
-                        flush_at = oldest.submitted + self.max_wait
-                        if bucket.min_deadline is not None:
-                            flush_at = min(
-                                flush_at, bucket.min_deadline - self.max_wait
-                            )
-                        if draining:
-                            trigger = "drain"
-                        elif bucket.frames >= self.max_batch:
-                            trigger = "size"
-                        elif now >= flush_at:
-                            trigger = "deadline"
-                        else:
-                            remaining = flush_at - now
-                            if nearest is None or remaining < nearest:
-                                nearest = remaining
-                            continue
-                        while True:
-                            remaining_bucket = self._buckets.get(key)
-                            if remaining_bucket is None:
-                                break
-                            if trigger == "size" and (
-                                remaining_bucket.frames < self.max_batch
-                            ):
-                                # A size flush ships only full batches;
-                                # the tail keeps queueing until its own
-                                # size or deadline trigger fires.
-                                break
-                            taken = self._take_batch(key)
-                            if not taken:
-                                break
-                            batches.append((key, taken, trigger))
-                    while self._continuations:
-                        continuations.append(self._continuations.popleft())
+                    if draining:
+                        # The drain stays eager: everything goes to the
+                        # pool at once, whose supervisor then respawns
+                        # crashed workers while tasks remain queued.
+                        for key in list(self._buckets):
+                            while taken := self._take_batch(key):
+                                batches.append((key, taken, "drain"))
+                        continuations.extend(self._continuations)
+                        self._continuations.clear()
+                        self._in_flight += len(batches) + len(continuations)
+                    else:
+                        wake = self._take_due(now, batches, continuations)
+                        if wake is not None and (
+                            nearest is None or wake < nearest
+                        ):
+                            nearest = wake
                     if batches or expired or continuations:
                         # Frames left the queue: blocked submitters may
                         # now fit.
@@ -887,13 +926,34 @@ class DecodeService:
                     self.metrics.record_mode_switch()
                 self._last_batch_key = key
                 self._dispatch_batch(requests, attempt=1)
-            # Continuations go to the pool *after* the fresh batches:
-            # survivors of a sliced decode queue behind new traffic.
+            # A drain queues all of these in the pool at once: fresh
+            # batches first, so sliced survivors queue behind them.
             for cont in continuations:
                 self._dispatch_continuation(cont)
 
+    def _release_slot(self) -> None:
+        """A pool submission finished, or never reached the pool."""
+        with self._cond:
+            self._in_flight -= 1
+            self._cond.notify_all()
+
+    def _redispatch(self, group: "list[_Request]", attempt: int) -> None:
+        """Send a retry group straight to the pool, holding a slot.
+
+        A retry keeps its per-request split — it never rejoins a bucket
+        to merge with fresh arrivals — and does not wait for a free
+        worker, but it counts as in flight, so fresh batches wait for it.
+        """
+        with self._cond:
+            self._in_flight += 1
+        self._dispatch_batch(group, attempt)
+
     def _dispatch_batch(self, requests: "list[_Request]", attempt: int) -> None:
-        """Hand a batch to the pool, with crash/hang recovery attached."""
+        """Hand a batch to the pool, with crash/hang recovery attached.
+
+        The caller holds a worker slot for the batch: every path out of
+        here either releases it or leaves that to the batch future.
+        """
         if self.executor == "process":
             self._dispatch_batch_process(requests, attempt)
             return
@@ -903,6 +963,7 @@ class DecodeService:
             # Pool already shut down (a retry raced close()): the drain
             # safety net would catch these, but failing them here keeps
             # the error specific.
+            self._release_slot()
             for request in requests:
                 self._deliver(
                     request,
@@ -933,6 +994,7 @@ class DecodeService:
         """
         live = [r for r in requests if not r.resolved]
         if not live:
+            self._release_slot()
             return
         first = live[0]
         try:
@@ -956,6 +1018,7 @@ class DecodeService:
             }
             out_spec = decode_out_spec(*merged.shape)
         except BaseException as exc:  # retried or delivered, never swallowed
+            self._release_slot()
             pending = [r for r in live if not r.resolved]
             if pending:
                 self._retry_or_fail(pending, attempt, exc)
@@ -965,6 +1028,7 @@ class DecodeService:
                 "decode", meta, arrays={"llr": merged}, out_spec=out_spec
             )
         except RuntimeError:
+            self._release_slot()
             for request in live:
                 self._deliver(
                     request,
@@ -982,12 +1046,14 @@ class DecodeService:
     def _finish_offloaded(self, batch_future, requests, attempt) -> None:
         """Reassemble a worker's shared-memory decode and deliver slices.
 
-        Runs on the pool's collector thread.  Errors — the worker's own
+        Runs on the pool's collector thread, once per batch future, and
+        frees the batch's worker slot first.  Errors — the worker's own
         exceptions and :class:`WorkerCrashedError` from the supervisor —
         go through the same retry adjudication as the thread path, so
         crash recovery and backend-error retries behave identically
         under either executor.
         """
+        self._release_slot()
         if batch_future.cancelled():
             return
         exc = batch_future.exception()
@@ -1012,7 +1078,8 @@ class DecodeService:
             self._deliver(request, "result", sliced)
 
     def _on_batch_done(self, batch_future, requests, attempt) -> None:
-        """Recover requests whose worker never returned.
+        """Free the batch's worker slot; recover requests whose worker
+        never returned.
 
         ``_run_batch`` resolves every request itself on the normal and
         error paths; the batch future fails only when the worker was
@@ -1020,6 +1087,7 @@ class DecodeService:
         the case that used to hang futures forever.  Retry if policy
         allows; otherwise deliver the worker error.
         """
+        self._release_slot()
         if batch_future.cancelled():
             exc: BaseException | None = None
         else:
@@ -1071,7 +1139,7 @@ class DecodeService:
             # While closing, the backoff is pointless latency: dispatch
             # now so the pool drain (or its RuntimeError -> typed
             # ServiceClosedError path) resolves the requests.
-            self._dispatch_batch(group, attempt)
+            self._redispatch(group, attempt)
             return
         token = object()
         timer = threading.Timer(delay, self._fire_retry, (token,))
@@ -1086,7 +1154,7 @@ class DecodeService:
         if entry is None:
             return  # the close() drain already fired this retry early
         _, group, attempt = entry
-        self._dispatch_batch(group, attempt)
+        self._redispatch(group, attempt)
 
     def _flush_retries(self) -> None:
         """Fire every pending retry timer now (the close() drain)."""
@@ -1096,7 +1164,7 @@ class DecodeService:
                     return
                 token, (timer, group, attempt) = self._retry_timers.popitem()
             timer.cancel()
-            self._dispatch_batch(group, attempt)
+            self._redispatch(group, attempt)
 
     # ------------------------------------------------------------------
     # Worker side
@@ -1188,6 +1256,7 @@ class DecodeService:
         requeued = False
         with self._cond:
             if not self._closing:
+                cont.requeued_at = self._clock()
                 self._continuations.append(cont)
                 self._cond.notify_all()
                 requeued = True
@@ -1235,10 +1304,13 @@ class DecodeService:
     def _dispatch_continuation(self, cont: _Continuation) -> None:
         """Resume a sliced decode on the pool (dispatcher side)."""
         if all(r.resolved for r in cont.requests):
-            return  # every awaiter timed out or was shed; drop the state
+            # Every awaiter timed out or was shed: drop the state.
+            self._release_slot()
+            return
         try:
             batch_future = self._pool.submit(self._advance_continuation, cont)
         except RuntimeError:
+            self._release_slot()
             for request in cont.requests:
                 self._deliver(
                     request,

@@ -141,6 +141,7 @@ def test_chaos_soak_no_drops_no_hangs_bit_identical():
     assert snap["requests_failed"] == 0
     assert snap["requests_shed"] == 0
     assert snap["requests_timed_out"] == 0
+    assert snap["batches_in_flight"] == 0  # no worker slot leaked
     # The storm actually happened; supervision counters prove it.
     injected = plan.injected()
     assert injected["worker_crash"] >= 1

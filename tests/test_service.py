@@ -10,6 +10,7 @@ the whole stack under concurrent mixed-standard load.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.errors import (
     UnknownCodeError,
 )
 from repro.fixedpoint import QFormat
-from repro.runtime import WorkerPool
+from repro.runtime import FaultPlan, WorkerPool
 from repro.service import DecodeService, PlanCache
 
 WIMAX = "802.16e:1/2:z24"
@@ -386,6 +387,34 @@ class TestDecodeService:
             snapshot = svc.metrics_snapshot()
         assert snapshot["flushes_deadline"] >= 1
 
+    def test_due_requests_wait_in_their_bucket_while_workers_are_busy(
+        self, small_code
+    ):
+        # Regression: the first task stalls the only worker for 0.4 s
+        # (no hang_timeout, so nothing intervenes).  Eight single frames
+        # of one group arrive meanwhile, each past max_wait on its own.
+        # They must wait in their bucket and leave as ONE batch when the
+        # worker frees, not queue behind it as eight one-frame batches.
+        plan = FaultPlan(seed=1, worker_hang=[0], hang_duration=0.4)
+        payloads = [_llr(WIMAX, 1, seed=40 + i) for i in range(9)]
+        with DecodeService(
+            workers=1, max_wait=0.001, default_config=FLOAT_CONFIG,
+            faults=plan,
+        ) as svc:
+            futures = [svc.submit(WIMAX, payloads[0])]
+            time.sleep(0.02)  # the first batch reaches the stalled worker
+            for llr in payloads[1:]:
+                futures.append(svc.submit(WIMAX, llr))
+                time.sleep(0.01)
+            served = [future.result(timeout=60) for future in futures]
+            snapshot = svc.metrics_snapshot()
+        assert plan.injected()["worker_hang"] == 1
+        assert snapshot["batches_dispatched"] == 2
+        assert snapshot["max_batch_frames"] == 8
+        direct = LayeredDecoder(small_code, FLOAT_CONFIG)
+        for i, (result, llr) in enumerate(zip(served, payloads)):
+            _assert_identical(result, direct.decode(llr), f"req {i}")
+
     def test_distinct_configs_never_share_a_batch(self):
         llr = _llr(WIMAX, 1, seed=14)
         with DecodeService(
@@ -541,7 +570,7 @@ class TestDecodeService:
             "requests_submitted", "requests_completed", "frames_decoded",
             "frames_per_second", "batches_dispatched", "mean_batch_frames",
             "latency_p50_ms", "latency_p99_ms", "mode_switches",
-            "queue_depth_frames", "plan_cache",
+            "queue_depth_frames", "batches_in_flight", "plan_cache",
         ):
             assert key in snapshot, key
         assert snapshot["requests_completed"] == 1
@@ -894,6 +923,7 @@ class TestMetricsText:
         assert "# TYPE repro_requests_completed counter" in text
         assert "repro_requests_completed 1" in text
         assert "# TYPE repro_queue_depth_frames gauge" in text
+        assert "# TYPE repro_batches_in_flight gauge" in text
         # Nested groups flatten with their prefix.
         assert "repro_plan_cache_misses" in text
         assert "repro_worker_pool_respawns" in text

@@ -21,6 +21,7 @@ The robustness contract under test (PR 6):
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.codes import get_code
 from repro.decoder import DecoderConfig, LayeredDecoder
 from repro.errors import (
     DeadlineExceeded,
+    ServiceClosedError,
     ServiceError,
     ServiceOverloaded,
 )
@@ -143,6 +145,9 @@ def test_chaos_matrix_every_future_resolves(policy, executor):
     assert snap["requests_rejected"] == rejected
     assert snap["requests_cancelled"] == 0
     assert results + errors + shed + timed_out == len(records)
+    # Every pool submission gave its worker slot back: a leaked slot
+    # would have retired a worker for good.
+    assert snap["batches_in_flight"] == 0
     if policy != "shed-oldest":
         assert shed == 0
     # Supervision counters reconcile with what the plan injected.
@@ -323,17 +328,25 @@ def test_failed_merged_batch_splits_so_batchmates_survive():
     # split per-request — every member must still resolve with a
     # correct result (the fault was transient, retries absorb it).
     plan = FaultPlan(seed=19, backend_error=[0])
-    payloads = [_llr(WIMAX, 1, seed=300 + i) for i in range(3)]
+    payloads = [_llr(WIMAX, 1, seed=300 + i) for i in range(5)]
     expected = [_direct(WIMAX, llr) for llr in payloads]
     svc = DecodeService(
         max_batch=8, max_wait=0.05, workers=1,
         default_config=CONFIG, faults=plan,
-        retry=RetryPolicy(attempts=3, backoff=0.001),
+        retry=RetryPolicy(attempts=3, backoff=0.1, max_backoff=0.1),
     )
     try:
         futures = [
             svc.submit(WIMAX, llr, client=f"c{i}")
-            for i, llr in enumerate(payloads)
+            for i, llr in enumerate(payloads[:3])
+        ]
+        # The merged batch fails at ~50 ms and its retries fire at
+        # ~150 ms; two arrivals of the same group land in between and
+        # still wait in their bucket when the retries fire.
+        time.sleep(0.13)
+        futures += [
+            svc.submit(WIMAX, llr, client=f"c{i}")
+            for i, llr in enumerate(payloads[3:], start=3)
         ]
         for future, exp in zip(futures, expected):
             result = future.result(timeout=60)
@@ -344,6 +357,62 @@ def test_failed_merged_batch_splits_so_batchmates_survive():
     # All three batch-mates were replayed individually.
     assert snap["requests_retried"] == 3
     assert snap["requests_failed"] == 0
+    # ... and never merged back into bucket traffic: every decode
+    # attempt is a dispatcher batch or a one-request retry, and every
+    # frame left a bucket exactly once.
+    assert plan.events()["batch"] == snap["batches_dispatched"] + 3
+    assert round(snap["mean_batch_frames"] * snap["batches_dispatched"]) == 5
+
+
+@pytest.mark.parametrize(
+    "scenario, executor",
+    [
+        ("retry-races-close", "thread"),
+        ("resolved-before-retry", "thread"),
+        ("resolved-before-retry", "process"),
+    ],
+)
+def test_worker_slot_released_on_paths_that_never_decode(scenario, executor):
+    # Each pool submission holds one of the `workers` dispatch slots; a
+    # path that drops a batch without decoding it must still give the
+    # slot back, or the service loses a worker for good.
+    llr = _llr(WIMAX, 1, seed=46)
+    if scenario == "retry-races-close":
+        # The drain's batch stalls its worker past close()'s pool
+        # shutdown, then fails: the retry's pool.submit raises.
+        plan = FaultPlan(
+            seed=31, worker_hang=[0], backend_error=[0], hang_duration=0.3
+        )
+        svc = DecodeService(
+            max_batch=4, max_wait=30.0, workers=1, default_config=CONFIG,
+            faults=plan, retry=RetryPolicy(attempts=2, backoff=0.001),
+            executor=executor,
+        )
+        future = svc.submit(WIMAX, llr)
+        svc.close()
+        with pytest.raises(ServiceClosedError, match="awaited retry"):
+            future.result(timeout=0)
+    else:
+        # The first attempt fails (under the process executor in the
+        # parent, before anything reaches the pool); the request times
+        # out during the backoff, so the retry that close() fires early
+        # finds no live request and never decodes.
+        plan = FaultPlan(seed=37, backend_error=[0])
+        svc = DecodeService(
+            max_batch=4, max_wait=0.001, workers=1, default_config=CONFIG,
+            faults=plan,
+            retry=RetryPolicy(attempts=2, backoff=5.0, max_backoff=5.0),
+            executor=executor,
+        )
+        future = svc.submit(WIMAX, llr, timeout=0.2)
+        with pytest.raises(DeadlineExceeded):
+            future.result(timeout=30)
+        svc.close()
+        assert plan.events()["batch"] == 1  # the retry never decoded
+    snap = svc.metrics_snapshot()
+    assert plan.injected()["backend_error"] == 1
+    assert snap["requests_retried"] == 1
+    assert snap["batches_in_flight"] == 0
 
 
 def test_close_during_chaos_leaves_nothing_unresolved():

@@ -23,6 +23,7 @@ Three layers of contract:
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.decoder import DecoderConfig, LayeredDecoder
 from repro.encoder import make_encoder
 from repro.fixedpoint import QFormat
 from repro.link import Link
+from repro.runtime import FaultPlan
 from repro.service import (
     DEFAULT_RULES,
     DecodePolicy,
@@ -548,6 +550,46 @@ class TestIncrementalService:
             f2.result(timeout=60)
             f1.result(timeout=60)
         assert order == ["hard", "easy"]
+
+    def test_continuation_waits_behind_fresh_due_batches(self):
+        """With one worker, a sliced survivor requeues behind a group
+        that fell due while its slice ran — so an easy request arriving
+        then resolves long before the hard one it queued behind."""
+        code = get_code(WIMAX_SMALL)
+        encoder = make_encoder(code)
+        rng = np.random.default_rng(SEED + 7)
+        hard = 8.0 * rng.standard_normal((2, code.n))  # junk: runs long
+        _, easy = _noisy_llrs(code, encoder, 2, 7.0, rng)
+        config = DecoderConfig(backend="fast", max_iterations=10)
+        # The first slice stalls the only worker for 0.3 s.
+        plan = FaultPlan(seed=7, worker_hang=[0], hang_duration=0.3)
+        order = []
+        with DecodeService(
+            workers=1,
+            max_wait=0.001,
+            default_config=config,
+            iteration_slice=1,
+            faults=plan,
+        ) as service:
+            f_hard = service.submit(
+                WIMAX_SMALL, hard, config=config, client="hard"
+            )
+            time.sleep(0.05)  # the hard batch holds the stalled worker
+            f_easy = service.submit(
+                WIMAX_SMALL, easy, config=config, client="easy"
+            )
+            f_hard.add_done_callback(lambda f: order.append("hard"))
+            f_easy.add_done_callback(lambda f: order.append("easy"))
+            r_hard = f_hard.result(timeout=60)
+            r_easy = f_easy.result(timeout=60)
+            snap = service.metrics_snapshot()
+        assert order == ["easy", "hard"]
+        assert snap["batches_dispatched"] == 2  # easy left as its own batch
+        assert snap["continuations_requeued"] >= 1
+        direct = LayeredDecoder(code, config)
+        _assert_identical(r_hard, direct.decode(hard), "queued survivor")
+        _assert_identical(r_easy, direct.decode(easy), "fresh batch")
+        assert r_hard.iterations.max() > r_easy.iterations.max()
 
     def test_drain_resolves_in_flight_continuations(self):
         """close() while sliced decodes are in flight strands nothing."""

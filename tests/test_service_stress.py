@@ -17,6 +17,9 @@ eviction/rebuild happens mid-traffic).  The asserted contract:
    elementwise along the batch axis.
 3. **Per-client FIFO**: each client's futures resolve in submission
    order (observed through done-callbacks).
+4. **No leaked worker slot**: with more workers than cores and a
+   shortened interpreter switch interval, the dispatcher's in-flight
+   batch count returns to zero once the service closes.
 
 The workload derives from one seed (``REPRO_SERVICE_SEED``, pinned in
 CI) so any failure reproduces; thread scheduling may vary, but the
@@ -31,6 +34,7 @@ environment so CI can run a reduced matrix:
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from collections import defaultdict
 
@@ -117,6 +121,8 @@ def test_stress_mixed_standard_service(workload, direct_decoders):
         workers=4,
         cache=PlanCache(maxsize=4),  # < working set (6 keys): evictions
     )
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # preempt often: shake out lost updates
     try:
         barrier = threading.Barrier(CLIENTS)
 
@@ -161,7 +167,9 @@ def test_stress_mixed_standard_service(workload, direct_decoders):
         snapshot = service.metrics_snapshot()
     finally:
         service.close()
+        sys.setswitchinterval(switch_interval)
 
+    assert service.metrics_snapshot()["batches_in_flight"] == 0
     total = CLIENTS * REQUESTS_PER_CLIENT
     assert sum(len(r) for r in results.values()) == total
     assert snapshot["requests_failed"] == 0
