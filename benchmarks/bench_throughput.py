@@ -822,6 +822,9 @@ def run_policy_benchmark(requests: int, repeats: int = 1) -> dict:
     (must be zero — the PR 3 residual stays retired), and asserts every
     policy-served request bit-identical to a direct decode under the
     rule's config.
+
+    Both sides run ``backend="fast"``, so their fps compare policies,
+    not kernels.
     """
     from repro.service import (
         DecodePolicy,
@@ -896,6 +899,9 @@ def run_policy_benchmark(requests: int, repeats: int = 1) -> dict:
             max_batch=SERVICE_MAX_BATCH,
             max_wait=SERVICE_MAX_WAIT,
             workers=2,
+            default_config=DecoderConfig(
+                backend="fast", early_termination="paper-or-syndrome"
+            ),
             policy=policy,
             warm_modes=[POLICY_MODE],
         ) as service:

@@ -9,17 +9,29 @@ slot below is bit-identical to the reference in fixed point and exactly
 equal (same float ops on the same values) in float, except the Φ-domain
 BP float kernel whose documented contract is decision agreement.
 
-- **BP sum-subtract, fixed point** — the guarded ⊞/⊟ fold of
-  :class:`~repro.decoder.siso.GuardedFixedBPSumSubKernel` is a pure
+A layer update gathers the layer's APP values into one ``(B, d, z)``
+block (the chip's circular shifter), runs the check kernel on it, and
+writes ``λ + Λ'`` back, saturating in place with ``ndarray.clip``.  At
+the 1–3-frame batches a service decodes, the number of numpy calls *is*
+the cost, so batches of up to :data:`ONE_CALL_MAX_FRAMES` gather with one
+``take`` through the layer's rotation table
+(:attr:`DecodePlan.flat_indices`) and write back with one indexed
+assignment (well defined because a layer's indices are distinct, which
+:meth:`DecodePlan.validate` checks); larger batches, where the cost per
+element dominates, copy each block's rotation as two contiguous slices.
+
+- **BP sum-subtract, fixed point** — the ⊞ fold (guarded,
+  :class:`~repro.decoder.siso.GuardedFixedBPSumSubKernel`, or the
+  guard-0 :class:`~repro.fixedpoint.boxplus.FixedBoxOps` one) is a pure
   function of the running fold state and one bounded message, so it is
-  *compiled into a state×input ROM* once per decoder:
-  ``rom[(state + S) * W + (b + m)]`` replays the exact reference
-  arithmetic with one gather per fold step, and all ``d`` ⊟ outputs
-  (already rounded back to the message format) come from one broadcast
-  gather.  Formats whose ROM would exceed
-  :data:`GUARD_ROM_MAX_ENTRIES` fall back to the (still vectorized)
-  guarded table fold.  ``siso_guard_bits=0`` keeps the seed-era
-  single-resolution pairwise ROMs / flat-correction fold.
+  *compiled into ROMs* (:class:`FoldROMs`) once per datapath and shared
+  read-only by every decoder.  The fold state is carried as a ROM row
+  base (state row × row width), so each ⊞ step is one add and one
+  ``take``; all ``d`` ⊟ outputs, already rounded back to the message
+  format, come from one more add and ``take``.  Formats whose ROMs would
+  exceed :data:`GUARD_ROM_MAX_ENTRIES` (guarded) or
+  :data:`PAIR_TABLE_MAX_BITS` (guard 0) fall back to the (still
+  vectorized) table folds.
 - **BP sum-subtract, float** — the sequential ⊞ fold is replaced by the
   Φ-domain "tanh rule": one transform ``Φ(|λ|)``, exclusive
   prefix/suffix cumulative sums along the degree axis, one inverse
@@ -45,27 +57,43 @@ so the win comes from collapsing the pass count, not from avoiding the
 transcendentals.
 
 BP forward-backward (both datapaths) reuses the reference kernels via
-the table fallback and still benefits from the fused flat-index layer
-update.
+the table fallback and still benefits from the fused layer update.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.decoder.backends.base import DecoderBackend, break_zero_messages
 from repro.decoder.siso import GuardedFixedBPSumSubKernel, LinearApproxKernel
 from repro.fixedpoint.boxplus import FixedBoxOps, make_guard_tables, phi_transform
+from repro.fixedpoint.quantize import QFormat
 
 #: Widest message format whose seed-era (guard 0) pairwise ⊞/⊟ ROMs are
-#: precompiled; the two tables hold ``(2^b - 1)^2`` int16 entries each
-#: (≈ 2 MiB apiece at 10 bits, ≈ 127 KiB at the paper's 8).
+#: precompiled; the two tables hold ``(2^b - 1)^2`` entries each
+#: (≈ 4 + 2 MiB at 10 bits, ≈ 254 + 127 KiB at the paper's 8).
 PAIR_TABLE_MAX_BITS = 10
 
-#: Entry budget for the guarded state×input ROMs (int16, two tables).
-#: Q8.2 with 2 guard bits needs ~259k entries (≈ 0.5 MiB per table);
-#: wider formats fall back to the guarded table fold.
+#: Entry budget for the guarded state×input ROMs (int32 ⊞ rows + int16
+#: ⊟ outputs).  Q8.2 needs ~259k entries at 2 guard bits (≈ 1.5 MiB for
+#: both tables) and ~1.04M at 4; wider formats fall back to the guarded
+#: table fold.
 GUARD_ROM_MAX_ENTRIES = 1 << 20
+
+#: Largest batch (frames) whose layer update gathers with one ``take``
+#: over :attr:`DecodePlan.flat_indices` and writes back with one indexed
+#: assignment; larger batches copy each block's rotation as two
+#: contiguous slices (:attr:`DecodePlan.block_ranges`).  Every numpy call
+#: costs ~1 µs however small its operands, so at the service's 1–3-frame
+#: batches the 4·d slice copies cost more than the data they move; but
+#: ``take`` and fancy assignment move one element at a time (the
+#: write-back steps a whole APP row between consecutive elements), while
+#: slices copy rows.  Measured on a 2-vCPU VM (802.16e z96 Q8.2 decodes),
+#: the one-call form ties the slices at 8–12 frames and is 10–15% slower
+#: at 16–32 frames and 34–40% slower at 64–256.
+ONE_CALL_MAX_FRAMES = 8
 
 #: Φ pole freeze points: inputs below this are treated as this (see
 #: :func:`~repro.fixedpoint.boxplus.phi_transform`).  The smallest
@@ -82,6 +110,103 @@ def _check_degree(lam):
         raise ValueError("check-node degree must be >= 2")
 
 
+@dataclass(frozen=True)
+class FoldROMs:
+    """The fixed-point ⊞/⊟ fold of one datapath, compiled into ROMs.
+
+    A fold state is carried as its *row base* ``row * width``, and a
+    message ``b`` enters as its offset ``b + max_int`` (``width`` is
+    ``2 * max_int + 1``), so a ROM address is always ``base + offset``:
+
+    - ``first[offset]`` — the row base of the fold seeded with one
+      message;
+    - ``rows[base + offset]`` — the row base after ⊞-absorbing the
+      message;
+    - ``minus[base + offset]`` — the ⊟ output (the extrinsic that
+      excludes the message), in the message format.
+
+    Guarded folds (``siso_guard_bits > 0``) have one row per guarded
+    state ``-S..S``; the guard-0 fold one row per message value.  Every
+    entry is produced by the reference arithmetic, so bit-identity
+    holds by construction.  Arrays are read-only: one set is shared by
+    every decoder of the datapath (see :func:`fold_roms`).
+    """
+
+    first: np.ndarray
+    rows: np.ndarray
+    minus: np.ndarray
+
+
+#: ``(total_bits, frac_bits, guard_bits)`` → ROMs; entries are read-only
+#: and a pure function of their key, so sharing them is safe.
+_FOLD_ROM_CACHE: dict[tuple[int, int, int], FoldROMs | None] = {}
+
+
+def fold_roms(qformat: QFormat, guard_bits: int) -> FoldROMs | None:
+    """The shared :class:`FoldROMs` of a datapath, or ``None`` if too big.
+
+    Built once per ``(qformat, guard_bits)`` and process; ``None`` when
+    the ROMs would exceed :data:`GUARD_ROM_MAX_ENTRIES` (guarded) or the
+    format is wider than :data:`PAIR_TABLE_MAX_BITS` (guard 0).
+    """
+    key = (qformat.total_bits, qformat.frac_bits, int(guard_bits))
+    if key in _FOLD_ROM_CACHE:
+        return _FOLD_ROM_CACHE[key]
+    m = int(qformat.max_int)
+    messages = np.arange(-m, m + 1, dtype=np.int64)
+    if guard_bits > 0:
+        tables = make_guard_tables(qformat, guard_bits)
+        bias = tables.state_max
+        if (2 * bias + 1) * (2 * m + 1) > GUARD_ROM_MAX_ENTRIES:
+            roms = None
+        else:
+            states = np.arange(-bias, bias + 1, dtype=np.int64)[:, None]
+            guarded = messages * tables.factor
+            roms = _compile(
+                bias,
+                seeded=guarded,
+                plus=tables.combine(states, guarded, tables.f),
+                minus=tables.round_message(
+                    tables.combine(states, guarded, tables.g)
+                ),
+            )
+    elif qformat.total_bits > PAIR_TABLE_MAX_BITS:
+        roms = None
+    else:
+        ops = FixedBoxOps(qformat)
+        states = messages[:, None]
+        roms = _compile(
+            m,
+            seeded=messages,
+            plus=ops.boxplus(states, messages),
+            minus=ops.boxminus(states, messages),
+        )
+    # setdefault keeps the first build if threads race on a miss, so
+    # every decoder still shares one set.  No lock: a worker process
+    # forked while another thread held it would deadlock on its first
+    # build.
+    return _FOLD_ROM_CACHE.setdefault(key, roms)
+
+
+def _compile(bias: int, seeded, plus, minus) -> FoldROMs:
+    """Encode fold states ``-bias..bias`` as row bases and freeze.
+
+    ``seeded`` is the fold state after one message, ``plus`` /
+    ``minus`` the ``(state, message)`` ⊞ state and ⊟ output tables.
+    Row bases fit int32 (≤ ~2^20 entries); ⊟ outputs are messages,
+    which fit int16 for every format a ROM is compiled for.
+    """
+    width = seeded.size
+    arrays = (
+        ((seeded + bias) * width).astype(np.int32),
+        ((plus + bias) * width).reshape(-1).astype(np.int32),
+        minus.reshape(-1).astype(np.int16),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return FoldROMs(*arrays)
+
+
 class FastBackend(DecoderBackend):
     """Fused flat-index numpy backend (see module docstring)."""
 
@@ -90,9 +215,11 @@ class FastBackend(DecoderBackend):
     def __init__(self, plan, config):
         super().__init__(plan, config)
         self._fixed = config.is_fixed_point
+        # Saturation bounds of the message port and the APP write-back.
         if self._fixed:
             self._max_int = np.int32(config.qformat.max_int)
-            self._app_max = np.int32(config.app_qformat.max_int)
+            self._msg_clip = self._max_int
+            self._app_clip = np.int32(config.app_qformat.max_int)
         else:
             self._msg_clip = float(config.llr_clip)
             self._app_clip = float(config.effective_app_clip)
@@ -103,38 +230,44 @@ class FastBackend(DecoderBackend):
     # ------------------------------------------------------------------
     def update_layer(self, l_messages, lambdas, layer_pos):
         plan = self.plan
-        ranges = plan.block_ranges[layer_pos]
         sl = plan.lambda_slices[layer_pos]
         batch = l_messages.shape[0]
         z = plan.z
-        # The block indices of one layer are cyclic rotations of
-        # contiguous APP ranges (the circular shifter of Fig. 7), so the
-        # gather and the write-back are plain slice copies — an order of
-        # magnitude cheaper than fancy-index scatter.  The same scratch
-        # buffer carries λ through the kernel and then the APP write-back
-        # (λ + Λ'), so the sub-iteration itself allocates nothing.
-        lam_new = plan.scratch(
-            "upd", (batch, len(ranges), z), l_messages.dtype
-        )
-        for i, (start, shift) in enumerate(ranges):
-            split = z - shift
-            lam_new[:, i, :split] = l_messages[:, start + shift : start + z]
-            lam_new[:, i, split:] = l_messages[:, start : start + shift]
-        lam_new -= lambdas[:, sl, :]
-        if self._fixed:
-            msg_clip, app_clip = self._max_int, self._app_max
+        # The rotation of each block is the circular shifter of Fig. 7.
+        # The gathered block carries λ through the kernel and then the
+        # APP write-back (λ + Λ'); see ONE_CALL_MAX_FRAMES for the two
+        # ways of moving it.
+        one_call = batch <= ONE_CALL_MAX_FRAMES
+        if one_call:
+            flat = plan.flat_indices[layer_pos]
+            # ``take(out=)`` is buffered (one more copy), so it allocates.
+            gathered = l_messages.take(flat, axis=1)
+            lam_new = gathered.reshape(-1, *plan.gather_indices[layer_pos].shape)
         else:
-            msg_clip, app_clip = self._msg_clip, self._app_clip
-        np.clip(lam_new, -msg_clip, msg_clip, out=lam_new)
+            ranges = plan.block_ranges[layer_pos]
+            lam_new = plan.scratch(
+                "upd", (batch, len(ranges), z), l_messages.dtype
+            )
+            for i, (start, shift) in enumerate(ranges):
+                split = z - shift
+                lam_new[:, i, :split] = l_messages[:, start + shift : start + z]
+                lam_new[:, i, split:] = l_messages[:, start : start + shift]
+        lam_new -= lambdas[:, sl, :]
+        # The ndarray method skips np.clip's Python wrappers, and is one
+        # pass where np.minimum + np.maximum are two.
+        lam_new.clip(-self._msg_clip, self._msg_clip, out=lam_new)
         if self._fixed:
             break_zero_messages(lam_new, lambdas[:, sl, :])
         lambda_new = self._kernel(lam_new)
         np.add(lam_new, lambda_new, out=lam_new)
-        np.clip(lam_new, -app_clip, app_clip, out=lam_new)
-        for i, (start, shift) in enumerate(ranges):
-            split = z - shift
-            l_messages[:, start + shift : start + z] = lam_new[:, i, :split]
-            l_messages[:, start : start + shift] = lam_new[:, i, split:]
+        lam_new.clip(-self._app_clip, self._app_clip, out=lam_new)
+        if one_call:
+            l_messages[:, flat] = gathered
+        else:
+            for i, (start, shift) in enumerate(ranges):
+                split = z - shift
+                l_messages[:, start + shift : start + z] = lam_new[:, i, :split]
+                l_messages[:, start : start + shift] = lam_new[:, i, split:]
         lambdas[:, sl, :] = lambda_new
 
     def compute_check(self, lam_vc, layer_pos):
@@ -145,20 +278,17 @@ class FastBackend(DecoderBackend):
     # ------------------------------------------------------------------
     def _make_bp_sumsub_fixed(self):
         config = self.config
-        ops = FixedBoxOps(config.qformat)
-        if config.siso_guard_bits > 0:
-            tables = make_guard_tables(config.qformat, config.siso_guard_bits)
-            entries = (2 * tables.state_max + 1) * (2 * tables.max_int + 1)
-            if entries <= GUARD_ROM_MAX_ENTRIES:
-                self._build_guard_roms(tables)
-                return self._bp_sumsub_fixed_guard_rom
-            self._guard_kernel = GuardedFixedBPSumSubKernel(tables)
-            return self._guard_kernel
-        # siso_guard_bits == 0: the seed-era single-resolution fold.
-        self._corr_plus, self._corr_minus = ops.flat_tables()
-        if config.qformat.total_bits <= PAIR_TABLE_MAX_BITS:
-            self._build_pair_roms(ops)
+        self._roms = fold_roms(config.qformat, config.siso_guard_bits)
+        if self._roms is not None:
             return self._bp_sumsub_fixed_rom
+        if config.siso_guard_bits > 0:
+            return GuardedFixedBPSumSubKernel(
+                make_guard_tables(config.qformat, config.siso_guard_bits)
+            )
+        # siso_guard_bits == 0, wide formats: the seed-era flat fold.
+        self._corr_plus, self._corr_minus = FixedBoxOps(
+            config.qformat
+        ).flat_tables()
         return self._bp_sumsub_fixed_flat
 
     def _make_bp_sumsub_float(self):
@@ -185,95 +315,20 @@ class FastBackend(DecoderBackend):
         return self._linear_approx_float
 
     # ------------------------------------------------------------------
-    # Fixed point, guarded BP: state×input ROM (one gather per ⊞/⊟)
+    # Fixed point BP, compiled ROMs: one add + one gather per ⊞ step
     # ------------------------------------------------------------------
-    def _build_guard_roms(self, tables) -> None:
-        """Compile the guarded fold into biased state-transition ROMs.
-
-        ``rom_plus[(state + S) * W + (b + m)]`` is the next (biased)
-        fold state after ⊞-absorbing message ``b``; ``rom_minus`` is
-        the ⊟ output already rounded back to the message format.  Both
-        are filled by evaluating the reference guarded arithmetic
-        (:class:`GuardedFixedBPSumSubKernel`) on every (state, message)
-        pair, so bit-identity holds by construction.
-        """
-        m = int(tables.max_int)
-        state_max = tables.state_max
-        states = np.arange(-state_max, state_max + 1, dtype=np.int64)
-        inputs = np.arange(-m, m + 1, dtype=np.int64) * tables.factor
-        a = states[:, None]
-        b = inputs[None, :]
-        self._rom_state_bias = np.int32(state_max)
-        self._rom_width = np.int32(2 * m + 1)
-        self._rom_factor = np.int32(tables.factor)
-        nxt = tables.combine(a, b, tables.f)
-        self._rom_plus = (nxt + state_max).astype(np.int16).ravel()
-        out = tables.round_message(tables.combine(a, b, tables.g))
-        self._rom_minus = out.astype(np.int16).ravel()
-
-    def _bp_sumsub_fixed_guard_rom(self, lam):
-        _check_degree(lam)
-        m = self._max_int
-        width = self._rom_width
-        degree = lam.shape[1]
-        scratch = self.plan.scratch
-        offset = scratch("grom_off", lam.shape, np.int32)
-        np.add(lam, m, out=offset)
-        batch, _, z = lam.shape
-        index = scratch("grom_index", (batch, z), np.int32)
-        # First fold state is the first message at guard resolution,
-        # biased into ROM row coordinates.
-        state = scratch("grom_state", (batch, z), np.int32)
-        np.multiply(lam[:, 0, :], self._rom_factor, out=state)
-        state += self._rom_state_bias
-        for i in range(1, degree):
-            np.multiply(state, width, out=index)
-            index += offset[:, i, :]
-            state = self._rom_plus.take(index)
-        wide = scratch("grom_wide", lam.shape, np.int32)
-        np.multiply(state[:, None, :], width, out=wide)
-        wide += offset
-        return self._rom_minus.take(wide)
-
-    # ------------------------------------------------------------------
-    # Fixed point, guard 0, narrow formats: seed-era pairwise ROM
-    # ------------------------------------------------------------------
-    def _build_pair_roms(self, ops: FixedBoxOps) -> None:
-        m = int(self._max_int)
-        width = 2 * m + 1
-        values = np.arange(-m, m + 1, dtype=np.int32)
-        a, b = np.meshgrid(values, values, indexing="ij")
-        self._rom_width = np.int32(width)
-        # The ⊞ ROM stores *row offsets* (value + m) so a fold step chains
-        # straight into the next index computation with no re-biasing
-        # pass; the ⊟ ROM stores plain values.  int16 keeps the combined
-        # footprint cache-resident (≈ 255 KiB at 8 bits); the saturated
-        # datapath guarantees every entry fits.
-        self._rom_plus = (
-            ops.boxplus(a.ravel(), b.ravel()) + np.int32(m)
-        ).astype(np.int16)
-        self._rom_minus = ops.boxminus(a.ravel(), b.ravel()).astype(np.int16)
-
     def _bp_sumsub_fixed_rom(self, lam):
         _check_degree(lam)
-        m = self._max_int
-        width = self._rom_width
-        degree = lam.shape[1]
-        scratch = self.plan.scratch
-        offset = scratch("rom_lam_off", lam.shape, np.int32)
-        np.add(lam, m, out=offset)
-        # ``total`` is carried as a ROM row offset (value + m).
-        batch, _, z = lam.shape
-        index = scratch("rom_index", (batch, z), np.int32)
-        total = offset[:, 0, :]
-        for i in range(1, degree):
-            np.multiply(total, width, out=index)
-            index += offset[:, i, :]
-            total = self._rom_plus.take(index)
-        wide = scratch("rom_wide", lam.shape, np.int32)
-        np.multiply(total[:, None, :], width, out=wide)
-        wide += offset
-        return self._rom_minus.take(wide)
+        roms = self._roms
+        offset = self.plan.scratch("rom_offset", lam.shape, np.int32)
+        np.add(lam, self._max_int, out=offset)
+        base = roms.first.take(offset[:, 0, :])
+        for i in range(1, lam.shape[1]):
+            base += offset[:, i, :]
+            base = roms.rows.take(base)
+        # All d ⊟ outputs at once: the final row base plus each offset.
+        offset += base[:, None, :]
+        return roms.minus.take(offset)
 
     # ------------------------------------------------------------------
     # Fixed point, guard 0, wide formats: fold over flat tables
@@ -321,7 +376,7 @@ class FastBackend(DecoderBackend):
         negative = lam < 0
         flip = negative ^ (negative.sum(axis=1, keepdims=True) & 1).astype(bool)
         out = np.where(flip, -magnitude, magnitude)
-        np.clip(out, -self._msg_clip, self._msg_clip, out=out)
+        out.clip(-self._msg_clip, self._msg_clip, out=out)
         # The reference ⊞/⊟ recursion propagates sign(0) = 0: one exactly
         # zero message (an erasure) zeroes every output of the check.
         # Reproduce that so zero inputs cannot flip decisions between

@@ -204,13 +204,20 @@ class ShardSubPlan(DecodePlan):
             self.parent, self.shard_index, self.layer_start, self.layer_stop
         )
         for pos in range(self.num_layers):
-            if not np.array_equal(
-                self.gather_indices[pos], rebuilt.gather_indices[pos]
-            ) or self.block_ranges[pos] != rebuilt.block_ranges[pos]:
+            if (
+                not np.array_equal(
+                    self.gather_indices[pos], rebuilt.gather_indices[pos]
+                )
+                or not np.array_equal(
+                    self.flat_indices[pos], rebuilt.flat_indices[pos]
+                )
+                or self.block_ranges[pos] != rebuilt.block_ranges[pos]
+            ):
                 raise DecoderConfigError(
                     f"shard {self.shard_index} gather table for local layer "
                     f"{pos} disagrees with the parent plan"
                 )
+            self._check_distinct(pos)
         if self.total_blocks != rebuilt.total_blocks or not np.array_equal(
             self.global_columns, rebuilt.global_columns
         ):

@@ -200,10 +200,14 @@ class DecodePlan:
     def validate(self) -> None:
         """Re-derive every index from ``code.layer_tables`` and compare.
 
+        Also checks that no layer reads a variable twice, which the
+        backends' one-assignment write-back relies on.
+
         Raises
         ------
         DecoderConfigError
-            If any compiled table disagrees with the code structure.
+            If any compiled table disagrees with the code structure, or
+            a layer's indices are not distinct.
         """
         z = self.code.z
         row_index = np.arange(z)
@@ -228,6 +232,7 @@ class DecodePlan:
                     f"plan flat table for layer {layer} disagrees with "
                     f"code.layer_tables"
                 )
+            self._check_distinct(pos)
             if self.lambda_slices[pos] != slice(offset, offset + len(blocks)):
                 raise DecoderConfigError(
                     f"plan lambda slice for layer {layer} is misaligned"
@@ -235,6 +240,15 @@ class DecodePlan:
             offset += len(blocks)
         if offset != self.total_blocks:
             raise DecoderConfigError("plan total_blocks is inconsistent")
+
+    def _check_distinct(self, pos: int) -> None:
+        # Backends write a layer back with one indexed assignment, which
+        # is only well defined when no variable appears twice in it.
+        flat = self.flat_indices[pos]
+        if np.unique(flat).size != flat.size:
+            raise DecoderConfigError(
+                f"plan layer at position {pos} reads a variable twice"
+            )
 
     def __repr__(self) -> str:
         return (

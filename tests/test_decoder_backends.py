@@ -18,9 +18,17 @@ Contracts verified here:
   88, its representable Φ ceiling); signs always agree;
 - non-BP check-node variants delegate to the identical reference
   kernels;
+- every entry of the fast backend's compiled fixed-point ⊞/⊟ fold ROMs
+  equals the reference arithmetic, and one read-only ROM set is shared
+  by every decoder of a datapath;
+- the fast layer update's one-call and slice-copy gather/write-back
+  forms give exactly the same result;
 - registry selection: explicit names, ``auto`` + environment override,
   unknown-name errors, unavailable-backend fallback.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -38,11 +46,17 @@ from repro.decoder import (
     resolve_backend_name,
 )
 from repro.decoder.backends import ENV_BACKEND
-from repro.decoder.backends.fast import FastBackend
+from repro.decoder.backends import fast as fast_module
+from repro.decoder.backends.fast import (
+    ONE_CALL_MAX_FRAMES,
+    FastBackend,
+    fold_roms,
+)
 from repro.decoder.backends.reference import ReferenceBackend
 from repro.encoder import make_encoder
 from repro.errors import DecoderConfigError
 from repro.fixedpoint import QFormat
+from repro.fixedpoint.boxplus import FixedBoxOps, make_guard_tables
 from tests.conftest import make_noisy_llrs
 
 #: One small mode per supported standard (DMB-T has a single z).
@@ -199,6 +213,16 @@ class TestFixedPointBitExact:
         )
         self._assert_identical(ref, fast)
 
+    def test_layered_bit_identical_large_batch(self, mode):
+        # Above ONE_CALL_MAX_FRAMES the fast layer update copies block
+        # slices; compaction then drops the batch back to the one-call
+        # gather as frames converge.
+        code, llr = self._workload(mode, frames=2 * ONE_CALL_MAX_FRAMES)
+        ref, fast = decode_pair(
+            code, llr, dict(qformat=QFormat(8, 2), max_iterations=4)
+        )
+        self._assert_identical(ref, fast)
+
     def test_layered_bit_identical_wide_format(self, mode):
         # Q12.4 exceeds PAIR_TABLE_MAX_BITS: exercises the flat-table fold.
         code, llr = self._workload(mode, frames=4)
@@ -331,6 +355,135 @@ class TestFloatEquivalence:
             small_code, llr, dict(bp_impl="forward-backward", max_iterations=3)
         )
         assert np.array_equal(ref.bits, fast.bits)
+
+
+class TestLayerUpdateForms:
+    """The one-call and the slice-copy gather/write-back are the same
+    layer update: a batch above ONE_CALL_MAX_FRAMES (slices) equals the
+    same frames updated one at a time (one call), exactly."""
+
+    @pytest.mark.parametrize(
+        "config_kwargs",
+        [
+            dict(qformat=QFormat(8, 2)),
+            dict(qformat=QFormat(8, 2), siso_guard_bits=0),
+            dict(qformat=QFormat(8, 2), check_node="normalized-minsum"),
+            dict(),
+            dict(check_node="minsum"),
+        ],
+        ids=["bp-q82", "bp-q82-guard0", "nms-q82", "bp-float", "ms-float"],
+    )
+    def test_slices_equal_one_call(self, small_code, rng, config_kwargs):
+        plan = DecodePlan(small_code)
+        config = DecoderConfig(backend="fast", **config_kwargs)
+        backend = FastBackend(plan, config)
+        batch = ONE_CALL_MAX_FRAMES + 1
+        shape = (batch, plan.total_blocks, plan.z)
+        if config.is_fixed_point:
+            app = rng.integers(-300, 301, (batch, small_code.n))
+            lam = rng.integers(-100, 101, shape)
+        else:
+            app = rng.normal(0.0, 8.0, (batch, small_code.n))
+            lam = rng.normal(0.0, 3.0, shape)
+        app = app.astype(backend.work_dtype)
+        lam = lam.astype(backend.work_dtype)
+        app_rows, lam_rows = app.copy(), lam.copy()
+        for pos in range(plan.num_layers):
+            backend.update_layer(app, lam, pos)
+            for row in range(batch):
+                backend.update_layer(
+                    app_rows[row : row + 1], lam_rows[row : row + 1], pos
+                )
+        assert np.array_equal(app, app_rows)
+        assert np.array_equal(lam, lam_rows)
+
+
+class TestFoldROMs:
+    """Every entry of the compiled fixed-point ⊞/⊟ fold ROMs, replayed.
+
+    The property harness samples messages, so it can miss a ROM entry;
+    this replays all of them (~259k at guard 2, ~1.04M at guard 4)
+    through the reference arithmetic.  Addresses are ``row base +
+    message offset``, and ⊞ entries hold the next row base.
+    """
+
+    QFORMAT = QFormat(8, 2)
+
+    @pytest.mark.parametrize("guard_bits", range(5))
+    def test_every_entry_matches_reference_arithmetic(self, guard_bits):
+        roms = fold_roms(self.QFORMAT, guard_bits)
+        assert roms is not None  # all five guard settings compile at Q8.2
+        m = self.QFORMAT.max_int
+        width = 2 * m + 1
+        messages = np.arange(-m, m + 1, dtype=np.int64)
+        if guard_bits:
+            tables = make_guard_tables(self.QFORMAT, guard_bits)
+            bias = tables.state_max
+            states = np.arange(-bias, bias + 1, dtype=np.int64)[:, None]
+            guarded = messages * tables.factor
+            seeded = guarded
+            plus = tables.combine(states, guarded[None, :], tables.f)
+            minus = tables.round_message(
+                tables.combine(states, guarded[None, :], tables.g)
+            )
+        else:
+            ops = FixedBoxOps(self.QFORMAT)
+            bias = m
+            states = messages[:, None]
+            seeded = messages
+            plus = ops.boxplus(states, messages[None, :])
+            minus = ops.boxminus(states, messages[None, :])
+        shape = (states.size, width)
+        assert roms.first.shape == (width,)
+        assert roms.rows.shape == roms.minus.shape == (states.size * width,)
+        for bases in (roms.first, roms.rows):
+            assert not (bases % width).any()
+        np.testing.assert_array_equal(roms.first // width - bias, seeded)
+        np.testing.assert_array_equal(
+            roms.rows.reshape(shape) // width - bias, plus
+        )
+        np.testing.assert_array_equal(roms.minus.reshape(shape), minus)
+
+    def test_roms_are_shared_and_read_only(self, small_code):
+        config = DecoderConfig(backend="fast", qformat=self.QFORMAT)
+        first = FastBackend(DecodePlan(small_code), config)._roms
+        second = FastBackend(
+            DecodePlan(get_code("802.11n:1/2:z27")), config
+        )._roms
+        other = FastBackend(
+            DecodePlan(small_code), config.replace(siso_guard_bits=3)
+        )._roms
+        for name in ("first", "rows", "minus"):
+            array = getattr(first, name)
+            assert getattr(second, name) is array
+            assert not array.flags.writeable
+            assert getattr(other, name) is not array
+
+    def test_racing_first_builds_share_one_set(self, monkeypatch):
+        # Threads that miss the cache together may each build, but every
+        # one must get the set that was published first.
+        monkeypatch.setattr(fast_module, "_FOLD_ROM_CACHE", {})
+        threads_n = 6
+        barrier = threading.Barrier(threads_n)
+        results = []
+
+        def build():
+            barrier.wait(timeout=10)
+            results.append(fold_roms(self.QFORMAT, 1))
+
+        threads = [threading.Thread(target=build) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == threads_n
+        assert all(roms is results[0] for roms in results)
 
 
 class TestEdgeCases:

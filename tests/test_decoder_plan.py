@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codes import get_code
+from repro.codes.qc import QCLDPCCode
 from repro.decoder import DecodePlan, resolve_layer_order
 from repro.errors import DecoderConfigError
 
@@ -53,6 +54,16 @@ class TestGatherIndices:
 
     def test_validate_passes(self, code):
         DecodePlan(code).validate()
+
+    def test_validate_rejects_repeated_index(self, code):
+        # Backends write a layer back with one indexed assignment, which
+        # needs every index of the layer to be distinct.
+        twin = QCLDPCCode(code.base)
+        tables = [list(blocks) for blocks in code.layer_tables]
+        tables[0].append(tables[0][0])
+        twin.layer_tables = tables
+        with pytest.raises(DecoderConfigError, match="twice"):
+            DecodePlan(twin).validate()
 
 
 class TestLayout:
