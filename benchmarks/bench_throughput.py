@@ -37,14 +37,6 @@ Two further scenarios ride along and land in the same JSON:
   through ``executor="thread"`` vs ``executor="process"`` at equal
   worker counts; asserts bit-identity and records the speedup plus the
   process pool's shared-memory segment lifecycle counters.
-- **sharded_decode** — the sharded decode fabric (ROADMAP item 4) on
-  the N=19992 huge synthetic code: one batch decoded by the single
-  ``LayeredDecoder`` and by ``ShardedDecoder`` at K ∈ {1, 2, 4}
-  (thread executor), recording frames/s, boundary bytes per iteration
-  and bit-identity per shard count.  Honest numbers: the fabric's
-  wavefront is *serialized* for bit-identity, so K > 1 buys per-worker
-  Λ-memory locality and scale, not intra-frame wall-clock speedup —
-  the recorded overhead ratio is the price of the boundary exchange.
 - **service** — the mixed-standard dynamic-batching scenario: N
   single-frame requests round-robining three modes across two
   standards, decoded one-frame-at-a-time (prebuilt per-mode decoders)
@@ -99,7 +91,7 @@ import numpy as np
 from repro.analysis.reporting import Table
 from repro.channel import AWGNChannel, BPSKModulator, ChannelFrontend
 from repro.codes import get_code
-from repro.decoder import DecoderConfig, LayeredDecoder, available_backends
+from repro.decoder import DecoderConfig, LayeredDecoder, registered_backends
 from repro.encoder import make_encoder
 from repro.fixedpoint import QFormat
 from repro.runtime import SweepEngine
@@ -142,7 +134,7 @@ def time_decoder(decoder, llr, repeats: int) -> tuple[float, object]:
 
 
 def run_benchmark(frames: int, repeats: int) -> dict:
-    backends = available_backends()
+    backends = registered_backends()
     results: dict = {
         "benchmark": "bench_throughput",
         "ebn0_db": EBN0_DB,
@@ -207,7 +199,7 @@ MINSUM_CHECK_NODE = "normalized-minsum"
 
 def run_minsum_benchmark(frames: int, repeats: int) -> dict:
     """Fused min-sum throughput per backend (float + Q8.2), WiMax N=2304."""
-    backends = available_backends()
+    backends = registered_backends()
     code, llr = make_workload(MINSUM_MODE, frames)
     entry: dict = {
         "mode": MINSUM_MODE,
@@ -715,69 +707,6 @@ def run_service_executor_benchmark(requests: int, repeats: int = 1) -> dict:
     return entry
 
 
-#: Shard counts swept by the sharded_decode scenario.
-SHARDED_DECODE_SHARDS = (1, 2, 4)
-
-
-def run_sharded_decode_benchmark(frames: int, repeats: int = 1) -> dict:
-    """The sharded decode fabric on the N=19992 huge synthetic code.
-
-    One all-zero-codeword AWGN batch decoded by the single
-    ``LayeredDecoder`` (baseline) and by the thread-executor
-    ``ShardedDecoder`` at each K in ``SHARDED_DECODE_SHARDS``.  The
-    fabric's wavefront is serialized to keep bit-identity with the
-    layered schedule, so K > 1 cannot win wall-clock on one frame —
-    what this records is the *price* of the partitioning (overhead
-    ratio vs the single decoder) and the interconnect load (boundary
-    bytes per iteration), which is the trajectory that matters as the
-    boundary tables and interconnect evolve.  Bit-identity per K is
-    asserted in the same run.
-    """
-    from repro.codes import huge_synthetic_code
-    from repro.runtime import ShardedDecoder
-
-    code = huge_synthetic_code()
-    frames = max(2, min(frames, 8))  # N=19992: a few frames is plenty
-    rng = np.random.default_rng(SEED)
-    # All-zero codeword over BPSK + AWGN at a mixed-convergence SNR so
-    # early termination and compaction fire mid-batch.
-    sigma = 0.6
-    llr = 2.0 * (1.0 + rng.normal(0, sigma, size=(frames, code.n))) / sigma**2
-    config = DecoderConfig(
-        backend="fast", qformat=QFormat(8, 2), max_iterations=8
-    )
-
-    baseline = LayeredDecoder(code, config)
-    base_s, base_result = time_decoder(baseline, llr, repeats)
-    entry: dict = {
-        "code": code.name,
-        "n": code.n,
-        "frames": frames,
-        "max_iterations": config.max_iterations,
-        "baseline_s": round(base_s, 3),
-        "baseline_fps": round(frames / base_s, 2),
-        "average_iterations": round(float(base_result.iterations.mean()), 2),
-    }
-    for shards in SHARDED_DECODE_SHARDS:
-        with ShardedDecoder(code, config.replace(shards=shards)) as fabric:
-            fabric_s, result = time_decoder(fabric, llr, repeats)
-            telemetry = fabric.telemetry()
-        iterations = max(telemetry["iterations_total"], 1)
-        entry[f"k{shards}_s"] = round(fabric_s, 3)
-        entry[f"k{shards}_fps"] = round(frames / fabric_s, 2)
-        entry[f"k{shards}_overhead"] = round(fabric_s / base_s, 2)
-        entry[f"k{shards}_boundary_bytes_per_iteration"] = (
-            telemetry["boundary_bytes"] // iterations
-        )
-        entry[f"k{shards}_bit_identical"] = bool(
-            np.array_equal(result.bits, base_result.bits)
-            and np.array_equal(result.llr, base_result.llr)
-            and np.array_equal(result.iterations, base_result.iterations)
-            and np.array_equal(result.et_stopped, base_result.et_stopped)
-        )
-    return entry
-
-
 #: Mixed-SNR policy storm: Eb/N0 bands cycled round-robin.  At rate 1/2
 #: BPSK the channel SNR in dB equals Eb/N0 in dB, so the bands land one
 #: request in each of the default policy's three rules.
@@ -1171,28 +1100,6 @@ def summarize(results: dict) -> str:
             f"{executors['segments_unlinked']} unlinked, bit-identical: "
             f"{executors['bit_identical']}"
         )
-    sharded = results.get("sharded_decode")
-    if sharded:
-        stable = Table(
-            ["shards", "fps", "overhead vs single",
-             "boundary B/iter", "bit-identical"],
-            title=(
-                f"Sharded decode fabric ({sharded['code']}, "
-                f"N={sharded['n']}, {sharded['frames']} frames, "
-                f"single decoder {sharded['baseline_fps']} fps)"
-            ),
-        )
-        for shards in SHARDED_DECODE_SHARDS:
-            stable.add_row(
-                [
-                    f"K={shards}",
-                    f"{sharded[f'k{shards}_fps']:.2f}",
-                    f"{sharded[f'k{shards}_overhead']:.2f}x",
-                    str(sharded[f"k{shards}_boundary_bytes_per_iteration"]),
-                    str(sharded[f"k{shards}_bit_identical"]),
-                ]
-            )
-        rendered += "\n" + stable.render()
     service = results.get("service")
     if service:
         rendered += (
@@ -1330,9 +1237,6 @@ def main(argv=None) -> int:
     results["service_executors"] = run_service_executor_benchmark(
         12 if args.smoke else 48, repeats=repeats
     )
-    results["sharded_decode"] = run_sharded_decode_benchmark(
-        2 if args.smoke else 6, repeats=repeats
-    )
     results["server"] = run_server_benchmark(
         24 if args.smoke else 96, repeats=repeats
     )
@@ -1361,10 +1265,6 @@ def main(argv=None) -> int:
         failures.append("service: batched results != direct decode")
     if results["service_executors"]["bit_identical"] is not True:
         failures.append("service_executors: process results != thread results")
-    for shards in SHARDED_DECODE_SHARDS:
-        key = f"k{shards}_bit_identical"
-        if results["sharded_decode"][key] is not True:
-            failures.append(f"sharded_decode: {key} = False")
     if results["server"]["bit_identical"] is not True:
         failures.append("server: socket results != direct decode")
     if results["policy"]["bit_identical"] is not True:

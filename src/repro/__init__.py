@@ -38,12 +38,11 @@ directly):
   the harnesses regenerating every table and figure of the paper;
 - **runtime / service** — the scaling layer: the unified
   :class:`~repro.runtime.SweepEngine` (parallel Monte-Carlo sharding
-  with checkpoint/resume — ``Link.sweep`` and the deprecated
-  ``BERSimulator`` shims both run through it), and the dynamic-batching
-  multi-standard decode service backed by the plan cache (the software
-  mode ROM) — hardened with per-request deadlines, bounded admission,
-  supervised workers and deterministic fault injection
-  (:class:`~repro.runtime.FaultPlan`);
+  with checkpoint/resume — ``Link.sweep`` runs through it), and the
+  dynamic-batching multi-standard decode service backed by the plan
+  cache (the software mode ROM) — hardened with per-request deadlines,
+  bounded admission, supervised workers and deterministic fault
+  injection (:class:`~repro.runtime.FaultPlan`);
 - **server** — the asyncio network front door
   (:class:`~repro.server.DecodeServer` / ``DecodeClient``) speaking a
   framed binary protocol over the same service.

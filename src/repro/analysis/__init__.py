@@ -1,6 +1,6 @@
-"""Monte-Carlo analysis: BER/FER harness, iteration profiles, sweeps."""
+"""Monte-Carlo analysis: BER/FER statistics, iteration profiles, reporting."""
 
-from repro.analysis.ber import BERSimulator, SnrPoint
+from repro.analysis.ber import SnrPoint
 from repro.analysis.density_evolution import (
     DegreeDistribution,
     de_converges,
@@ -13,15 +13,12 @@ from repro.analysis.iterations import (
     profile_iterations,
 )
 from repro.analysis.reporting import ascii_curve, ber_table, results_dir, save_exhibit
-from repro.analysis.sweep import SweepResult, run_sweep
 
 __all__ = [
-    "BERSimulator",
     "DegreeDistribution",
     "EtPowerCurve",
     "IterationProfile",
     "SnrPoint",
-    "SweepResult",
     "ascii_curve",
     "ber_table",
     "de_converges",
@@ -29,6 +26,5 @@ __all__ = [
     "et_power_curve",
     "profile_iterations",
     "results_dir",
-    "run_sweep",
     "save_exhibit",
 ]

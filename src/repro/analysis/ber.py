@@ -1,32 +1,18 @@
-"""Monte-Carlo BER/FER simulation harness.
+"""BER/FER statistics of one Eb/N0 operating point.
 
-Drives the encode -> modulate -> AWGN -> decode chain in batches until
-either an error budget or a frame budget is met per Eb/N0 point, and
-collects the statistics every experiment needs: BER, FER, average
-iterations (the Fig. 9a driver), convergence and ET rates.
-
-The harness is deterministic given a seed and independent of sweep
-order: every (Eb/N0 point, frame chunk) draws from its own
-``np.random.SeedSequence`` child stream (see
-:mod:`repro.runtime.engine`, which also executes the same chunks across
-a process pool when ``run_sweep(workers=...)`` asks for it — parallel
-results are bit-identical to serial ones).
+:class:`SnrPoint` collects what every experiment needs from a
+Monte-Carlo run: BER, FER, average iterations (what Fig. 9a plots),
+convergence and ET rates.  The sweeps that fill it live in
+:class:`repro.runtime.SweepEngine` (reachable as
+:meth:`repro.link.Link.sweep`): every (Eb/N0 point, frame chunk) draws
+from its own ``np.random.SeedSequence`` child stream, and chunk
+statistics combine through :meth:`SnrPoint.merge` in chunk order, so a
+parallel sweep reproduces the serial one bit for bit.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.channel.modulation import BPSKModulator
-from repro.codes.qc import QCLDPCCode
-from repro.decoder.api import DecoderConfig
-from repro.decoder.flooding import FloodingDecoder
-from repro.decoder.layered import LayeredDecoder
-from repro.encoder import make_encoder
-from repro.errors import SimulationError
 
 
 @dataclass
@@ -133,147 +119,4 @@ class SnrPoint:
             converged_frames=int(data["converged_frames"]),
             et_frames=int(data["et_frames"]),
             info_bits_per_frame=int(data["info_bits_per_frame"]),
-        )
-
-
-class BERSimulator:
-    """Batch Monte-Carlo simulator for one (code, decoder) pair.
-
-    .. deprecated:: 1.1
-        ``run_point``/``run_sweep`` are thin shims over the unified
-        :class:`~repro.runtime.SweepEngine` and emit a
-        :class:`DeprecationWarning`; results are bit-identical.  Use
-        ``repro.open(mode, config).sweep(...)`` (or ``SweepEngine``
-        directly for synthetic codes).
-
-    Parameters
-    ----------
-    code:
-        The LDPC code under test.
-    config:
-        Decoder configuration (paper defaults if omitted).
-    schedule:
-        ``"layered"`` (default) or ``"flooding"``.
-    modulator:
-        Defaults to BPSK (the Fig. 9a setting).
-    seed:
-        Master seed; every Eb/N0 point gets an independent child stream.
-    backend:
-        Optional decoder backend override (``"reference"``, ``"fast"``,
-        ``"numba"``); shorthand for ``config.replace(backend=...)``.  The
-        decoder (and its compiled plan) is built once here and reused for
-        every batch of the sweep.
-
-    Examples
-    --------
-    >>> from repro.codes import get_code
-    >>> sim = BERSimulator(get_code("802.16e:1/2:z24"), seed=1)
-    >>> point = sim.run_point(2.0, max_frames=20, batch_size=20)
-    >>> point.frames
-    20
-    """
-
-    def __init__(
-        self,
-        code: QCLDPCCode,
-        config: DecoderConfig | None = None,
-        schedule: str = "layered",
-        modulator=None,
-        seed: int = 0,
-        backend: str | None = None,
-    ):
-        self.code = code
-        self.config = config if config is not None else DecoderConfig()
-        if backend is not None:
-            self.config = self.config.replace(backend=backend)
-        if schedule == "layered":
-            self.decoder = LayeredDecoder(code, self.config)
-        elif schedule == "flooding":
-            self.decoder = FloodingDecoder(code, self.config)
-        else:
-            raise SimulationError(f"unknown schedule {schedule!r}")
-        self.modulator = modulator if modulator is not None else BPSKModulator()
-        self.encoder = make_encoder(code)
-        self.schedule = schedule
-        self.seed = seed
-
-    def _engine(self, workers: int = 0, checkpoint_path=None):
-        # Deferred import: repro.runtime.engine imports SnrPoint from
-        # this module.  The serial engine reuses this simulator's decoder
-        # and encoder so repeated calls pay plan compilation once.
-        from repro.runtime.engine import SweepEngine
-
-        return SweepEngine(
-            self.code,
-            self.config,
-            schedule=self.schedule,
-            modulator=self.modulator,
-            seed=self.seed,
-            workers=workers,
-            checkpoint_path=checkpoint_path,
-            decoder=self.decoder,
-            encoder=self.encoder,
-        )
-
-    def _warn_deprecated(self, method: str) -> None:
-        warnings.warn(
-            f"BERSimulator.{method} is deprecated; use "
-            "repro.open(mode, config).sweep(...) or "
-            "repro.runtime.SweepEngine — same engine, bit-identical "
-            "results",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def run_point(
-        self,
-        ebn0_db: float,
-        max_frames: int = 1000,
-        min_frame_errors: int = 50,
-        batch_size: int = 100,
-    ) -> SnrPoint:
-        """Simulate one Eb/N0 point (deprecated shim over SweepEngine).
-
-        Stops after ``min_frame_errors`` frame errors or ``max_frames``
-        frames, whichever comes first (the error budget is checked every
-        ``batch_size`` frames).
-        """
-        self._warn_deprecated("run_point")
-        return self._engine().run_point(
-            float(ebn0_db),
-            max_frames=max_frames,
-            min_frame_errors=min_frame_errors,
-            batch_size=batch_size,
-        )
-
-    def run_sweep(
-        self,
-        ebn0_list,
-        max_frames: int = 1000,
-        min_frame_errors: int = 50,
-        batch_size: int = 100,
-        workers: int = 0,
-        checkpoint_path=None,
-    ) -> list[SnrPoint]:
-        """Simulate a list of Eb/N0 points (deprecated SweepEngine shim).
-
-        Every point draws from an independent stream.
-
-        Parameters
-        ----------
-        workers:
-            ``0``/``1`` runs serially in-process; ``>= 2`` shards frame
-            chunks across a process pool of that size via
-            :class:`~repro.runtime.SweepEngine`.  Results are identical
-            either way.
-        checkpoint_path:
-            Optional JSON checkpoint for resume-after-interrupt (see
-            :class:`~repro.runtime.SweepCheckpoint`).
-        """
-        self._warn_deprecated("run_sweep")
-        return self._engine(workers=workers, checkpoint_path=checkpoint_path).run(
-            [float(ebn0) for ebn0 in ebn0_list],
-            max_frames=max_frames,
-            min_frame_errors=min_frame_errors,
-            batch_size=batch_size,
         )

@@ -13,11 +13,7 @@ Public surface:
 """
 
 from repro.codes.base_matrix import ZERO_BLOCK, BaseMatrix, BlockEntry
-from repro.codes.construction import (
-    build_qc_base_matrix,
-    count_base_four_cycles,
-    huge_synthetic_code,
-)
+from repro.codes.construction import build_qc_base_matrix, count_base_four_cycles
 from repro.codes.dmbt import dmbt_base_matrix, dmbt_block_length, dmbt_rates
 from repro.codes.nr import (
     NR_LIFTING_SIZES,
@@ -58,7 +54,6 @@ __all__ = [
     "dmbt_block_length",
     "dmbt_rates",
     "get_code",
-    "huge_synthetic_code",
     "list_modes",
     "nr_base_matrix",
     "nr_lifting_sizes",

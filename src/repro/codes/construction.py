@@ -21,8 +21,6 @@ The construction is deterministic given ``seed``.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.codes.base_matrix import ZERO_BLOCK, BaseMatrix
@@ -211,40 +209,6 @@ def _pick_shift(
     if feasible:
         return int(rng.choice(feasible))
     return None
-
-
-#: Parameters of :func:`huge_synthetic_code`: rate-3/4 like the paper's
-#: densest WiMAX family (j=6, k=24) with z sized to push N ≈ 2·10⁴ —
-#: an order of magnitude past any registry mode, the regime the sharded
-#: decode fabric exists for.
-HUGE_CODE_J = 6
-HUGE_CODE_K = 24
-HUGE_CODE_Z = 833
-
-
-@functools.lru_cache(maxsize=4)
-def huge_synthetic_code(seed: int = 20260807):
-    """A deterministic N ≈ 2·10⁴ synthetic QC-LDPC code (N = 19992).
-
-    The fabric's canonical test article: large enough that its
-    ``(B, total_blocks, z)`` check-message memory dwarfs a single
-    worker's cache (the problem sharding addresses), small enough to
-    construct in seconds.  Built through the same 4-cycle-free
-    constructor as every synthetic registry mode and cached per seed —
-    tests, the CI smoke job and the throughput benchmark all share one
-    construction.
-    """
-    from repro.codes.qc import QCLDPCCode
-
-    base = build_qc_base_matrix(
-        HUGE_CODE_J,
-        HUGE_CODE_K,
-        HUGE_CODE_Z,
-        name=f"synthetic:huge:z{HUGE_CODE_Z}:s{seed}",
-        standard="synthetic",
-        seed=seed,
-    )
-    return QCLDPCCode(base)
 
 
 def count_base_four_cycles(base: BaseMatrix) -> int:

@@ -7,7 +7,7 @@ Public surface:
 - :class:`FloodingDecoder` — two-phase scheduling baseline;
 - :class:`DecodePlan` — compiled gather/scatter schedule (shift-ROM analogue);
 - the backend registry in :mod:`repro.decoder.backends`
-  (``reference`` / ``fast`` / optional ``numba``), selected via
+  (``reference`` / ``fast``), selected via
   ``DecoderConfig(backend=...)`` or ``REPRO_DECODER_BACKEND``;
 - check-node kernels in :mod:`repro.decoder.siso` (BP sum-sub /
   forward-backward, min-sum family, linear approximation);
@@ -24,12 +24,8 @@ from repro.decoder.api import (
 from repro.decoder.backends import (
     DecoderBackend,
     FastBackend,
-    NumbaBackend,
     ReferenceBackend,
-    available_backends,
     make_backend,
-    make_shard_backend,
-    register_backend,
     registered_backends,
     resolve_backend_name,
 )
@@ -44,13 +40,6 @@ from repro.decoder.early_termination import (
 )
 from repro.decoder.flooding import FloodingDecoder
 from repro.decoder.layered import LayeredDecoder, prepare_channel_llrs
-from repro.decoder.partition import (
-    BoundaryTable,
-    PartitionedPlan,
-    ShardSubPlan,
-    balanced_layer_segments,
-    expand_block_columns,
-)
 from repro.decoder.plan import DecodePlan, resolve_layer_order
 from repro.decoder.state import DecodeState
 from repro.decoder.backends.base import KERNEL_TABLE, kernel_slot
@@ -70,7 +59,6 @@ __all__ = [
     "BP_IMPLEMENTATIONS",
     "BPForwardBackwardKernel",
     "BPSumSubKernel",
-    "BoundaryTable",
     "CHECK_NODE_ALGORITHMS",
     "CombinedEarlyTermination",
     "DecodePlan",
@@ -90,22 +78,14 @@ __all__ = [
     "LayeredDecoder",
     "LinearApproxKernel",
     "MinSumKernel",
-    "NumbaBackend",
     "PaperEarlyTermination",
-    "PartitionedPlan",
     "ReferenceBackend",
-    "ShardSubPlan",
     "SyndromeEarlyTermination",
-    "available_backends",
-    "balanced_layer_segments",
-    "expand_block_columns",
     "make_backend",
-    "make_shard_backend",
     "make_checknode_kernel",
     "make_early_termination",
     "make_monitor",
     "prepare_channel_llrs",
-    "register_backend",
     "registered_backends",
     "resolve_backend_name",
     "resolve_layer_order",

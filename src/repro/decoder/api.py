@@ -16,11 +16,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DecoderConfigError
+from repro.errors import DecoderConfigError, QuantizationError
 from repro.fixedpoint.quantize import QFormat
 
 #: Valid check-node algorithm names.
@@ -37,6 +38,55 @@ BP_IMPLEMENTATIONS = ("sum-sub", "forward-backward")
 
 #: Valid early-termination rules.
 ET_MODES = ("none", "paper", "syndrome", "paper-or-syndrome")
+
+#: Widest fixed-point APP word (``qformat.total_bits + app_extra_bits``)
+#: every backend can decode: both hold their state in int32, and a
+#: layer update forms ``L - Λ`` before saturating it, which needs one
+#: bit of headroom over the APP word.
+MAX_APP_BITS = 31
+
+
+def _require_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise unless ``value`` is an int (not a bool) in ``[low, high]``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DecoderConfigError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise DecoderConfigError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DecoderConfigError(f"{name} must be in {low}..{high}, got {value}")
+
+
+def _require_number(name: str, value) -> None:
+    """Raise unless ``value`` is a real number other than NaN."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or math.isnan(value)
+    ):
+        raise DecoderConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _qformat_from_dict(value) -> QFormat:
+    """Parse the ``["QFormat", total_bits, frac_bits]`` wire form.
+
+    The bare ``[total_bits, frac_bits]`` pair is accepted too.
+    """
+    parts = list(value) if isinstance(value, (list, tuple)) else None
+    if parts and len(parts) == 3 and parts[0] == "QFormat":
+        parts = parts[1:]
+    if (
+        parts is None
+        or len(parts) != 2
+        or any(isinstance(p, bool) or not isinstance(p, int) for p in parts)
+    ):
+        raise DecoderConfigError(
+            f'qformat must be ["QFormat", total_bits, frac_bits] or null, '
+            f"got {value!r}"
+        )
+    try:
+        return QFormat(*parts)
+    except QuantizationError as exc:
+        raise DecoderConfigError(f"qformat {value!r}: {exc}") from None
 
 
 def _canonical_value(value):
@@ -115,7 +165,9 @@ class DecoderConfig:
         saturate at the same magnitude, ``λ = L - Λ`` collapses to zero at
         convergence and the sum-subtract SISO destroys the decision.  Every
         practical chip (including this paper's 8-bit message datapath)
-        keeps the APP wider; the default is 2 bits.
+        keeps the APP wider; the default is 2 bits.  The APP word,
+        ``qformat.total_bits + app_extra_bits``, may not exceed
+        :data:`MAX_APP_BITS`.
     siso_guard_bits:
         Extra *fractional* bits the fixed-point BP sum-subtract SISO
         carries internally through its ⊞ recursion and ⊟ inversion
@@ -153,12 +205,13 @@ class DecoderConfig:
         algorithm: ROM/table ⊞/⊟ folds and two-smallest min-sum
         reductions in fixed point — bit-identical to the reference —
         single-pass Φ-domain BP and fused min-sum kernels in float),
-        ``"numba"`` (JIT loops; falls back to ``"fast"`` with a
-        once-per-process warning when numba is missing), or the default
-        ``"auto"`` which honours the ``REPRO_DECODER_BACKEND``
-        environment variable and otherwise selects ``"reference"``.
+        or the default ``"auto"`` which honours the
+        ``REPRO_DECODER_BACKEND`` environment variable and otherwise
+        selects ``"reference"``.  Any other name raises
+        :class:`~repro.errors.DecoderConfigError` at decoder
+        construction.
     fast_exact:
-        Only meaningful for the ``fast``/``numba`` float BP sum-subtract
+        Only meaningful for the ``fast`` float BP sum-subtract
         path, which evaluates the check node in the Φ ("tanh rule")
         domain with exclusive prefix/suffix Φ-sums.  The default
         ``False`` runs it in float32 for memory bandwidth (matches the
@@ -176,18 +229,6 @@ class DecoderConfig:
         of last-bit differences), which is why the guarantee is stated
         per kernel call.  Ignored by the reference backend and by
         fixed-point configurations.
-    shards:
-        Shard count for the sharded decode fabric
-        (:class:`~repro.runtime.fabric.ShardedDecoder`).  ``1`` (the
-        default) decodes in process as before; ``K > 1`` splits the
-        layered schedule across K shard subplans exchanging boundary
-        APP values through an explicit interconnect — bit-identical to
-        ``shards=1`` for any K (the fabric replays the exact serial
-        layer order as a wavefront).  :class:`~repro.service.PlanCache`
-        (and therefore ``Link.decode``, :class:`DecodeService` and the
-        decode server) route layered decodes onto the fabric whenever
-        ``shards > 1``.  Requests clamp to the number of processed
-        layers; only the layered schedule shards.
     """
 
     check_node: str = "bp"
@@ -207,7 +248,6 @@ class DecoderConfig:
     compact_frames: bool = True
     backend: str = "auto"
     fast_exact: bool = False
-    shards: int = 1
 
     def __post_init__(self):
         if not isinstance(self.backend, str) or not self.backend:
@@ -224,8 +264,38 @@ class DecoderConfig:
             raise DecoderConfigError(
                 f"early_termination={self.early_termination!r}; valid: {ET_MODES}"
             )
-        if self.max_iterations < 1:
-            raise DecoderConfigError("max_iterations must be >= 1")
+        _require_int("max_iterations", self.max_iterations, 1)
+        _require_int("siso_guard_bits", self.siso_guard_bits, 0, 4)
+        _require_int("app_extra_bits", self.app_extra_bits, 0, MAX_APP_BITS)
+        for name in ("et_threshold", "normalization", "offset", "llr_clip"):
+            _require_number(name, getattr(self, name))
+        if self.app_clip is not None:
+            _require_number("app_clip", self.app_clip)
+        for name in ("track_history", "compact_frames", "fast_exact"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise DecoderConfigError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
+                )
+        if self.qformat is not None:
+            if not isinstance(self.qformat, QFormat):
+                raise DecoderConfigError(
+                    f"qformat must be a QFormat or None, got {self.qformat!r}"
+                )
+            app_bits = self.qformat.total_bits + self.app_extra_bits
+            if app_bits > MAX_APP_BITS:
+                raise DecoderConfigError(
+                    f"APP word of {self.qformat.total_bits} + "
+                    f"{self.app_extra_bits} = {app_bits} bits exceeds the "
+                    f"{MAX_APP_BITS}-bit limit of the int32 datapath"
+                )
+        if self.layer_order is not None:
+            if not isinstance(self.layer_order, (list, tuple)):
+                raise DecoderConfigError(
+                    f"layer_order must be a sequence of layer indices or "
+                    f"None, got {self.layer_order!r}"
+                )
+            for layer in self.layer_order:
+                _require_int("layer_order entry", layer, 0)
         if self.et_threshold < 0:
             raise DecoderConfigError("et_threshold must be non-negative")
         if not 0 < self.normalization <= 1:
@@ -234,16 +304,8 @@ class DecoderConfig:
             raise DecoderConfigError("offset must be non-negative")
         if self.llr_clip <= 0:
             raise DecoderConfigError("llr_clip must be positive")
-        if self.app_extra_bits < 0:
-            raise DecoderConfigError("app_extra_bits must be non-negative")
-        if not 0 <= self.siso_guard_bits <= 4:
-            raise DecoderConfigError("siso_guard_bits must be in 0..4")
         if self.app_clip is not None and self.app_clip < self.llr_clip:
             raise DecoderConfigError("app_clip must be >= llr_clip")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise DecoderConfigError("shards must be an int")
-        if self.shards < 1:
-            raise DecoderConfigError("shards must be >= 1")
 
     @property
     def is_fixed_point(self) -> bool:
@@ -327,7 +389,9 @@ class DecoderConfig:
         readable across versions that add fields); unknown keys raise
         :class:`~repro.errors.DecoderConfigError` rather than being
         silently dropped — a typo'd field name must not decode with a
-        different configuration than the sender asked for.
+        different configuration than the sender asked for.  Malformed
+        values raise the same error, never a bare ``TypeError``: this
+        is the door wire requests come in through.
         """
         fields_by_name = {f.name: f for f in dataclasses.fields(cls)}
         unknown = set(data) - set(fields_by_name)
@@ -338,10 +402,9 @@ class DecoderConfig:
         kwargs = {}
         for name, value in data.items():
             if name == "qformat" and value is not None:
-                total_bits, frac_bits = value[-2], value[-1]
-                value = QFormat(int(total_bits), int(frac_bits))
-            elif name == "layer_order" and value is not None:
-                value = tuple(int(v) for v in value)
+                value = _qformat_from_dict(value)
+            elif name == "layer_order" and isinstance(value, list):
+                value = tuple(value)
             elif (
                 isinstance(value, str)
                 and value in ("inf", "-inf", "nan")

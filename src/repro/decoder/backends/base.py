@@ -129,24 +129,6 @@ class DecoderBackend:
         #: in; backends may override (e.g. float32 for bandwidth).
         self.work_dtype = np.int32 if config.is_fixed_point else np.float64
 
-    @classmethod
-    def for_shard(cls, partition, shard_index: int, config: DecoderConfig):
-        """Instantiate this backend on one shard of a partitioned plan.
-
-        The shard-aware entry of the kernel contract: a
-        :class:`~repro.decoder.partition.ShardSubPlan` is a real
-        ``DecodePlan`` over the shard's *local* variable space (gather
-        tables, ``block_ranges`` and lambda slices all rebased), so the
-        returned backend is an ordinary instance whose kernels run
-        unmodified — ``update_layer`` sees a ``(B, n_local)`` APP array
-        and a ``(B, shard_blocks, z)`` Λ memory and cannot tell it is
-        decoding one K-th of a code.  The fabric
-        (:class:`~repro.runtime.fabric.ShardedDecoder`) owns everything
-        the shard cannot see: boundary exchange, the wavefront order,
-        and early termination.
-        """
-        return cls(partition.subplans[shard_index], config)
-
     def _select_kernel(self):
         """Instantiate this backend's kernel for the configured slot."""
         slot = kernel_slot(self.config)

@@ -45,11 +45,9 @@ def prepare_channel_llrs(
 ) -> tuple[np.ndarray, bool]:
     """Normalize channel input to a ``(B, N)`` array in datapath units.
 
-    Shared by every decode front end (layered, flooding via its own
-    path, and the sharded fabric) so input conditioning — quantization
-    with zero-breaking in fixed point, clipping in float — is one
-    code path and stays bit-identical across them.  Returns the working
-    array and whether the input was a single ``(N,)`` frame.
+    Input conditioning is quantization with zero-breaking in fixed
+    point and clipping in float.  Returns the working array and whether
+    the input was a single ``(N,)`` frame.
     """
     llr = np.asarray(channel_llr)
     single = llr.ndim == 1

@@ -58,23 +58,6 @@ def check_plan_compatible(
     DecoderConfigError
         If the plan's code or processing order differs.
     """
-    if getattr(plan, "is_shard", False):
-        # A shard subplan (see repro.decoder.partition) carries its
-        # parent's layer slice rebased to shard-local variable indices.
-        # Its identity is the parent plan's: validate code and order
-        # against the parent, then check the slice is internally
-        # consistent — the same guarantee, one level up.
-        check_plan_compatible(plan.parent, code, layer_order)
-        expected_slice = plan.parent.layer_order[
-            plan.layer_start : plan.layer_stop
-        ]
-        if plan.layer_order != expected_slice:
-            raise DecoderConfigError(
-                f"shard {plan.shard_index} layer slice {plan.layer_order} "
-                f"disagrees with parent positions "
-                f"[{plan.layer_start}:{plan.layer_stop})"
-            )
-        return
     if plan.code is not code and (
         plan.code.name != code.name
         or plan.code.n != code.n

@@ -115,8 +115,8 @@ class GuardedFixedBPSumSubKernel:
     bits through direct-indexed correction tables
     (:class:`~repro.fixedpoint.boxplus.GuardTables`), and each output is
     rounded half-away-from-zero back to the message format.  This is
-    the numerical ground truth for the guarded datapath — the fast and
-    numba backends replicate it bit-for-bit.
+    the numerical ground truth for the guarded datapath — the fast
+    backend replicates it bit-for-bit.
     """
 
     def __init__(self, tables: GuardTables):

@@ -172,9 +172,7 @@ class GuardTables:
 
         This is *the* guarded combine: the reference kernel, the cycle
         model's SISO ops, and the fast backend's ROM fill all delegate
-        here, so cross-implementation bit-identity holds by construction
-        (only the numba scalar loops re-express it, pinned by
-        uncompiled-equality tests).
+        here, so cross-implementation bit-identity holds by construction.
         """
         abs_a = np.abs(a)
         abs_b = np.abs(b)

@@ -279,12 +279,6 @@ class Link:
                         self._plan = entry.plan
                         self._decoder = entry.decoder
                     else:
-                        if self.config.shards > 1:
-                            raise LinkError(
-                                "the sharded decode fabric partitions the "
-                                "layered schedule; schedule='flooding' "
-                                f"cannot honour shards={self.config.shards}"
-                            )
                         flooding = FloodingDecoder(self.code, self.config)
                         self._plan = flooding.plan
                         self._decoder = flooding

@@ -22,12 +22,7 @@ here:
   keeps one alive per worker count for the whole interpreter;
 - :class:`FaultPlan` scripts deterministic fault injection (payload
   corruption, worker crash/stall, backend errors, cache drops) for the
-  chaos tests;
-- :class:`ShardedDecoder` (ROADMAP item 4) is the sharded decode
-  fabric: one decode of one huge code split across K shard workers,
-  boundary APP values moving through an explicit :class:`Interconnect`
-  (in-process ring or shared-memory mailboxes), bit-identical to
-  ``shards=1`` for any K.
+  chaos tests.
 """
 
 from repro.runtime.checkpoint import SweepCheckpoint, chunk_key
@@ -39,12 +34,6 @@ from repro.runtime.engine import (
     decode_chunk,
     plan_chunks,
     point_key,
-)
-from repro.runtime.fabric import (
-    Interconnect,
-    RingInterconnect,
-    ShardedDecoder,
-    ShmMailboxInterconnect,
 )
 from repro.runtime.faults import FAULT_SITES, FaultPlan, WorkerKilled
 from repro.runtime.parallel import (
@@ -59,12 +48,8 @@ from repro.runtime.sweep import SweepResult, run_sweep
 __all__ = [
     "FAULT_SITES",
     "FaultPlan",
-    "Interconnect",
     "ProcessWorkerPool",
-    "RingInterconnect",
     "SCHEDULES",
-    "ShardedDecoder",
-    "ShmMailboxInterconnect",
     "SweepCheckpoint",
     "SweepEngine",
     "SweepResult",

@@ -44,10 +44,6 @@ RNG stream partition); amortization instead comes from grouping
 consecutive chunks of one point into tasks of roughly
 ``target_task_s`` seconds, each returning per-chunk statistics so the
 ordered reduction is untouched.
-
-:class:`~repro.analysis.ber.BERSimulator` delegates ``run_point`` /
-``run_sweep`` here, so the serial API and the parallel engine share one
-code path by construction.
 """
 
 from __future__ import annotations
@@ -219,10 +215,9 @@ class SweepEngine:
         :class:`~repro.runtime.checkpoint.SweepCheckpoint`).
     decoder, encoder:
         Optional prebuilt decoder/encoder for in-process execution —
-        used by :class:`~repro.analysis.ber.BERSimulator` so repeated
-        serial calls reuse one compiled plan and one encoder
-        elimination.  Ignored by pool workers (they build and cache
-        their own).
+        used by :meth:`repro.link.Link.sweep` so repeated serial calls
+        reuse one compiled plan and one encoder elimination.  Ignored
+        by pool workers (they build and cache their own).
     target_task_s:
         Aimed-for seconds of decode work per pool task; the engine
         packs ``round(target_task_s / measured_chunk_seconds)``

@@ -115,9 +115,6 @@ class WorkerState:
 
         self.cache = PlanCache(maxsize=cache_size)
         self.sweep_cache: dict = {}
-        #: Compiled shard bundles for the sharded decode fabric, keyed
-        #: ``(fabric_id, shard_index)``; bounded by the task function.
-        self.fabric: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +199,6 @@ def _task_sweep_chunks(state, meta, inputs):
     return results, {}
 
 
-def _task_fabric_step(state, meta, inputs):
-    """One shard superstep of a sharded decode (see
-    :mod:`repro.runtime.fabric`).  Lazy import: the fabric module
-    imports :mod:`repro.runtime.parallel`, which imports this module at
-    top level — importing it here (first fabric task only) keeps the
-    cycle open."""
-    from repro.runtime.fabric import run_shard_step
-
-    return run_shard_step(state, meta, inputs)
-
-
 TASKS = {
     "ping": _task_ping,
     "echo": _task_echo,
@@ -220,7 +206,6 @@ TASKS = {
     "sleep": _task_sleep,
     "scale": _task_scale,
     "decode": _task_decode,
-    "fabric_step": _task_fabric_step,
     "sweep_chunks": _task_sweep_chunks,
 }
 

@@ -7,10 +7,8 @@ Fan-out is delegated to :func:`repro.runtime.map_ordered`, so a sweep
 can run its values on a thread pool (``workers >= 2``) without changing
 the collected order.
 
-This is the runtime home of the utility (moved from
-``repro.analysis.sweep``, which remains as a deprecated shim); BER/FER
-sweeps over Eb/N0 grids belong to :class:`repro.runtime.SweepEngine`
-via :meth:`repro.link.Link.sweep`.
+BER/FER sweeps over Eb/N0 grids belong to
+:class:`repro.runtime.SweepEngine` via :meth:`repro.link.Link.sweep`.
 """
 
 from __future__ import annotations

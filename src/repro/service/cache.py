@@ -146,58 +146,13 @@ class PlanCache:
     def _build(self, mode: "str | QCLDPCCode", config: DecoderConfig) -> CacheEntry:
         code = get_code(mode) if isinstance(mode, str) else mode
         plan = DecodePlan(code, config.layer_order)
-        if config.shards > 1:
-            # Sharded configs route onto the decode fabric.  Cached
-            # fabrics use the thread executor: it is bit-identical to
-            # the process fabric, needs no pool or shared-memory state,
-            # and therefore survives LRU eviction without a resource
-            # leak.  Callers wanting real process sharding build a
-            # ShardedDecoder(executor="process") directly and own its
-            # lifecycle.  Lazy import: repro.runtime imports the
-            # service layer through procworker's decode task.
-            from repro.runtime.fabric import ShardedDecoder
-
-            decoder = ShardedDecoder(code, config, plan=plan)
-        else:
-            decoder = LayeredDecoder(code, config, plan=plan)
         return CacheEntry(
             mode=self.mode_key(mode),
             config=config,
             code=code,
             plan=plan,
-            decoder=decoder,
+            decoder=LayeredDecoder(code, config, plan=plan),
         )
-
-    def fabric_stats(self) -> dict | None:
-        """Aggregated fabric telemetry over cached sharded decoders.
-
-        ``None`` when no cached entry is a fabric decoder (the common
-        single-shard case), so metrics exports can omit the section
-        entirely rather than emit zeros.  Counter keys are summed
-        across fabrics; per-shard sub-dicts are merged by shard label.
-        """
-        with self._lock:
-            decoders = [
-                entry.decoder
-                for entry in self._entries.values()
-                if hasattr(entry.decoder, "telemetry")
-            ]
-        if not decoders:
-            return None
-        merged: dict = {"fabrics": len(decoders), "per_shard": {}}
-        for decoder in decoders:
-            telemetry = decoder.telemetry()
-            for key, value in telemetry.items():
-                if key == "per_shard":
-                    for shard, counters in value.items():
-                        slot = merged["per_shard"].setdefault(shard, {})
-                        for name, count in counters.items():
-                            slot[name] = slot.get(name, 0) + count
-                elif isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    merged[key] = merged.get(key, 0) + value
-        return merged
 
     def warm(
         self,

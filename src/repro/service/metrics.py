@@ -306,9 +306,8 @@ class ServiceMetrics:
         """This accumulator's snapshot as Prometheus exposition text.
 
         ``extra`` merges additional nested sections into the snapshot
-        before rendering — how the service attaches plan-cache,
-        worker-pool and decode-fabric statistics without this class
-        knowing about any of them.
+        before rendering — how the service attaches plan-cache and
+        worker-pool statistics without this class knowing about either.
         """
         snapshot = self.snapshot()
         if extra:
@@ -329,17 +328,13 @@ _COUNTER_KEYS = frozenset({
     "evictions", "crashes_detected", "hangs_detected", "respawns",
     "processes_spawned", "tasks_completed", "segments_created",
     "segments_unlinked",
-    # Sharded decode fabric (repro.runtime.fabric telemetry).
-    "decodes", "iterations_total", "supersteps", "boundary_messages",
-    "boundary_bytes", "boundary_bytes_sent", "barrier_wait_s",
-    "ring_hops", "crashes",
     # Power-aware serving + adaptive policies (PR 9).  The derived
     # ratios (energy_per_bit_pj, avg_iterations, iteration_savings_pct)
     # are gauges and intentionally absent here.
     "energy_pj_total", "info_bits_decoded", "iterations_executed",
     "iteration_budget_total", "decode_slices", "continuations_requeued",
     "requests_early_delivered", "selections", "frames_total",
-    "budget_total",
+    "iterations_total", "budget_total",
 })
 
 

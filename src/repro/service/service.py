@@ -704,23 +704,16 @@ class DecodeService:
 
         ``batches_in_flight`` counts pool submissions not yet finished
         (at most ``workers``, plus retries); it reads 0 on an idle or
-        closed service.  When any cached decoder is a sharded fabric
-        (``DecoderConfig(shards=K)``), its aggregated telemetry —
-        superstep counts, boundary traffic, barrier wait, per-shard
-        sub-sections — nests under ``"fabric"``; the section is absent
-        otherwise, so single-shard deployments export no dead zeros.
-        Likewise, with a decode policy or incremental scheduling
-        configured, per-rule selection counts and measured iteration
-        savings nest under ``"policy"``.
+        closed service.  With a decode policy or incremental
+        scheduling configured, per-rule selection counts and measured
+        iteration savings nest under ``"policy"``; the section is
+        absent otherwise, so plain deployments export no dead zeros.
         """
         snapshot = self.metrics.snapshot()
         with self._cond:
             snapshot["batches_in_flight"] = self._in_flight
         snapshot["plan_cache"] = self.cache.stats()
         snapshot["worker_pool"] = self._pool.stats()
-        fabric = self.cache.fabric_stats()
-        if fabric is not None:
-            snapshot["fabric"] = fabric
         if self.decode_policy is not None or self.iteration_slice is not None:
             snapshot["policy"] = self.metrics.policy_snapshot()
         return snapshot
@@ -1188,15 +1181,10 @@ class DecodeService:
                 merged = np.concatenate([r.llr for r in live], axis=0)
             decoder = entry.decoder
             cont = None
-            if (
-                self.iteration_slice is not None
-                and merged.shape[0] > 0
-                and hasattr(decoder, "begin_decode")
-            ):
+            if self.iteration_slice is not None and merged.shape[0] > 0:
                 # Incremental scheduling: build the resumable state and
-                # drive the first slice; sharded decoders (no
-                # begin_decode) and empty batches fall through to the
-                # one-shot path.
+                # drive the first slice; empty batches fall through to
+                # the one-shot path.
                 offsets = []
                 offset = 0
                 for request in live:

@@ -1,92 +1,43 @@
 """Tests for the Monte-Carlo analysis harness.
 
-``BERSimulator.run_point``/``run_sweep`` and
-``repro.analysis.sweep.run_sweep`` are deprecated shims over the
-unified runtime (:class:`repro.runtime.SweepEngine` /
-:func:`repro.runtime.run_sweep`); every exercise of a shimmed path here
-goes through ``pytest.deprecated_call`` so the suite stays clean under
-``-W error::DeprecationWarning``.
+BER/FER sweeps run through :class:`repro.runtime.SweepEngine`; the
+generic parameter sweep is :func:`repro.runtime.run_sweep`.
 """
 
 import pytest
 
-from repro.analysis.ber import BERSimulator, SnrPoint
+from repro.analysis.ber import SnrPoint
 from repro.analysis.iterations import et_power_curve, profile_iterations
 from repro.analysis.reporting import ascii_curve, ber_table, save_exhibit
 from repro.arch.datapath import PAPER_CHIP
-from repro.decoder import DecoderConfig
-from repro.errors import SimulationError
 from repro.runtime import SweepEngine, run_sweep
 
 
-class TestBERSimulator:
+class TestSweepEngine:
     def test_point_statistics_accumulate(self, small_code):
-        simulator = BERSimulator(small_code, seed=1)
-        with pytest.deprecated_call():
-            point = simulator.run_point(2.0, max_frames=40, batch_size=20)
+        engine = SweepEngine(small_code, seed=1)
+        point = engine.run_point(2.0, max_frames=40, batch_size=20)
         assert point.frames == 40
         assert 0.0 <= point.ber <= 1.0
         assert 0.0 <= point.fer <= 1.0
         assert 1.0 <= point.average_iterations <= 10.0
         assert sum(point.iterations_hist.values()) == 40
 
-    def test_stops_at_error_budget(self, small_code):
-        simulator = BERSimulator(small_code, seed=2)
-        with pytest.deprecated_call():
-            point = simulator.run_point(
-                -2.0, max_frames=500, min_frame_errors=10, batch_size=10
-            )
-        assert point.frame_errors >= 10
-        assert point.frames < 500
-
-    def test_shim_bit_identical_to_engine(self, small_code):
-        """The deprecated simulator is a pure shim: same statistics."""
-        simulator = BERSimulator(small_code, seed=3)
-        with pytest.deprecated_call():
-            via_shim = simulator.run_sweep(
-                [2.0, 3.0], max_frames=20, batch_size=20
-            )
-        direct = SweepEngine(small_code, seed=3).run(
-            [2.0, 3.0], max_frames=20, batch_size=20
-        )
-        assert [p.to_dict() for p in via_shim] == [
-            p.to_dict() for p in direct
-        ]
-
     def test_deterministic_given_seed(self, small_code):
-        with pytest.deprecated_call():
-            a = BERSimulator(small_code, seed=3).run_point(
-                2.0, max_frames=20, batch_size=20
-            )
-        with pytest.deprecated_call():
-            b = BERSimulator(small_code, seed=3).run_point(
-                2.0, max_frames=20, batch_size=20
-            )
-        assert a.bit_errors == b.bit_errors
+        a = SweepEngine(small_code, seed=3).run_point(
+            2.0, max_frames=20, batch_size=20
+        )
+        b = SweepEngine(small_code, seed=3).run_point(
+            2.0, max_frames=20, batch_size=20
+        )
+        assert a.to_dict() == b.to_dict()
 
     def test_ber_decreases_with_snr(self, small_code):
-        simulator = BERSimulator(small_code, seed=4)
-        with pytest.deprecated_call():
-            points = simulator.run_sweep(
-                [0.0, 3.5], max_frames=60, min_frame_errors=100, batch_size=30
-            )
+        engine = SweepEngine(small_code, seed=4)
+        points = engine.run(
+            [0.0, 3.5], max_frames=60, min_frame_errors=100, batch_size=30
+        )
         assert points[0].ber > points[1].ber
-
-    def test_flooding_schedule_option(self, small_code):
-        simulator = BERSimulator(small_code, schedule="flooding", seed=5)
-        with pytest.deprecated_call():
-            point = simulator.run_point(3.0, max_frames=10, batch_size=10)
-        assert point.frames == 10
-
-    def test_unknown_schedule_raises(self, small_code):
-        with pytest.raises(SimulationError):
-            BERSimulator(small_code, schedule="diagonal")
-
-    def test_invalid_budget_raises(self, small_code):
-        simulator = BERSimulator(small_code, seed=6)
-        with pytest.deprecated_call():
-            with pytest.raises(SimulationError):
-                simulator.run_point(1.0, max_frames=0)
 
 
 class TestIterationProfile:
@@ -130,21 +81,6 @@ class TestSweep:
     def test_non_dict_runner_raises(self):
         with pytest.raises(TypeError):
             run_sweep("x", [1], lambda x: x)
-
-    def test_analysis_shim_warns_and_matches(self):
-        """The old import path warns but produces identical rows."""
-        from repro.analysis.sweep import run_sweep as old_run_sweep
-
-        with pytest.deprecated_call():
-            via_shim = old_run_sweep("x", [1, 2], lambda x: {"y": x * x})
-        direct = run_sweep("x", [1, 2], lambda x: {"y": x * x})
-        assert via_shim == direct
-
-    def test_sweepresult_is_same_class(self):
-        from repro.analysis.sweep import SweepResult as old_cls
-        from repro.runtime import SweepResult as new_cls
-
-        assert old_cls is new_cls
 
 
 class TestReporting:

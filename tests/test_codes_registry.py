@@ -87,46 +87,3 @@ class TestSummary:
         wifi = summary["802.11n"]
         assert (wifi["j_min"], wifi["j_max"]) == (4, 12)
         assert (wifi["z_min"], wifi["z_max"]) == (27, 81)
-
-
-class TestHugeSyntheticCode:
-    """The sharded-fabric test article: N an order of magnitude past any
-    registry mode, built by the same 4-cycle-free constructor."""
-
-    def test_construction_and_scale(self):
-        from repro.codes import huge_synthetic_code, list_modes
-
-        code = huge_synthetic_code()
-        assert code.n == 19992  # ≈ 2·10⁴, the fabric's target regime
-        assert code.z == 833
-        assert code.base.j == 6 and code.base.k == 24
-        # An order of magnitude past the paper's multi-standard modes;
-        # only the largest NR lifts (n = 68·384) exceed it.
-        largest_classic = max(
-            descriptor.n
-            for descriptor in list_modes()
-            if descriptor.standard != "NR"
-        )
-        assert code.n > 2 * largest_classic
-
-    def test_structurally_valid(self):
-        from repro.codes import (
-            count_base_four_cycles,
-            huge_synthetic_code,
-            validate_code,
-        )
-
-        code = huge_synthetic_code()
-        assert count_base_four_cycles(code.base) == 0
-        report = validate_code(code)
-        assert report.ok, report
-
-    def test_deterministic_and_cached(self):
-        from repro.codes import huge_synthetic_code
-
-        assert huge_synthetic_code() is huge_synthetic_code()
-        other = huge_synthetic_code(seed=1)
-        assert other is not huge_synthetic_code()
-        assert other.base.entries.tolist() != (
-            huge_synthetic_code().base.entries.tolist()
-        )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.decoder.api import DecodeResult, DecoderConfig
+from repro.codes import get_code
+from repro.decoder import LayeredDecoder, registered_backends
+from repro.decoder.api import MAX_APP_BITS, DecodeResult, DecoderConfig
 from repro.errors import DecoderConfigError
 from repro.fixedpoint.quantize import QFormat
 
@@ -30,11 +32,57 @@ class TestConfigValidation:
             {"llr_clip": 0.0},
             {"app_extra_bits": -1},
             {"app_clip": 1.0, "llr_clip": 2.0},
+            # Malformed types raise DecoderConfigError, never a bare
+            # TypeError, and a float or bool count is never truncated.
+            {"max_iterations": "10"},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"llr_clip": None},
+            {"llr_clip": "nan"},
+            {"llr_clip": float("nan")},
+            {"app_clip": float("nan")},
+            {"offset": float("nan")},
+            {"siso_guard_bits": "2"},
+            {"layer_order": 5},
+            {"layer_order": (1.0, 0.0)},
+            {"qformat": (8, 2)},
+            {"app_extra_bits": 60},
+            {"qformat": QFormat(40, 2)},
+            {"compact_frames": "yes"},
         ],
     )
     def test_invalid_settings_raise(self, kwargs):
         with pytest.raises(DecoderConfigError):
             DecoderConfig(**kwargs)
+
+    def test_widest_app_word_decodes_on_every_backend(self):
+        code = get_code("802.16e:1/2:z24")
+        llr = 4.0 * np.random.default_rng(3).standard_normal((2, code.n))
+        results = [
+            LayeredDecoder(
+                code,
+                DecoderConfig(
+                    backend=backend,
+                    qformat=QFormat(8, 2),
+                    app_extra_bits=MAX_APP_BITS - 8,
+                    max_iterations=3,
+                ),
+            ).decode(llr)
+            for backend in registered_backends()
+        ]
+        for other in results[1:]:
+            assert np.array_equal(other.bits, results[0].bits)
+            assert np.array_equal(other.llr, results[0].llr)
+            assert np.array_equal(other.iterations, results[0].iterations)
+
+    def test_one_bit_past_the_widest_app_word_is_rejected(self):
+        DecoderConfig(qformat=QFormat(8, 2), app_extra_bits=MAX_APP_BITS - 8)
+        with pytest.raises(DecoderConfigError, match="int32"):
+            DecoderConfig(
+                qformat=QFormat(8, 2), app_extra_bits=MAX_APP_BITS - 7
+            )
+        with pytest.raises(DecoderConfigError, match="int32"):
+            DecoderConfig(qformat=QFormat(MAX_APP_BITS - 1, 2))
 
     def test_fixed_point_flag(self):
         assert not DecoderConfig().is_fixed_point

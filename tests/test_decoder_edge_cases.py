@@ -16,24 +16,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.ber import BERSimulator
 from repro.codes import QCLDPCCode
 from repro.codes.base_matrix import BaseMatrix
 from repro.decoder import (
     DecoderConfig,
     FloodingDecoder,
     LayeredDecoder,
-    available_backends,
+    registered_backends,
 )
 from repro.fixedpoint import QFormat
 from repro.runtime import SweepEngine
 from tests.conftest import make_noisy_llrs
 
 SCHEDULES = {"layered": LayeredDecoder, "flooding": FloodingDecoder}
-BACKENDS = [b for b in ("reference", "fast", "numba") if b in available_backends()]
+BACKENDS = list(registered_backends())
 
 #: The min-sum family + linear-approx: every kernel built on the fused
-#: two-smallest reduction in the fast/numba backends.
+#: two-smallest reduction in the fast backend.
 MINSUM_FAMILY = ("minsum", "normalized-minsum", "offset-minsum", "linear-approx")
 
 
@@ -172,12 +171,6 @@ class TestMinSumEdgeCases:
 
 
 class TestSimulatorBudgets:
-    def test_batch_size_larger_than_max_frames(self, small_code):
-        sim = BERSimulator(small_code, seed=11)
-        with pytest.deprecated_call():
-            point = sim.run_point(3.0, max_frames=5, batch_size=50)
-        assert point.frames == 5
-
     def test_engine_batch_size_larger_than_max_frames(self, small_code):
         engine = SweepEngine(small_code, seed=11)
         [point] = engine.run([3.0], max_frames=5, batch_size=50)

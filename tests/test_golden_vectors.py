@@ -13,7 +13,7 @@ Contract per case:
 
 - fixed point (Q8.2): bits, LLRs, iterations, ET flags **exactly** equal
   to the stored arrays — for the reference backend and every other
-  available backend (the cross-backend bit-identity contract);
+  registered backend (the cross-backend bit-identity contract);
 - float: bits, iterations and ET flags exactly, LLRs to 1e-9 (the
   reference float kernel goes through libm transcendentals whose last
   ulp may differ between platforms);
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.codes import get_code
-from repro.decoder import DecoderConfig, LayeredDecoder, available_backends
+from repro.decoder import DecoderConfig, LayeredDecoder, registered_backends
 from repro.fixedpoint import QFormat
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -62,7 +62,7 @@ class TestFixedPointGolden:
     def results(self, golden):
         code = get_code(str(golden["mode"]))
         out = {}
-        for backend in available_backends():
+        for backend in registered_backends():
             for compact in (True, False):
                 config = DecoderConfig(
                     backend=backend,

@@ -8,8 +8,7 @@ Three contracts are pinned here:
    LayeredDecoder`` chain frame for frame (the api_redesign acceptance
    cell);
 2. **One sweep engine** — ``Link.sweep`` must equal a directly-driven
-   :class:`~repro.runtime.SweepEngine` bit for bit, and the deprecated
-   ``BERSimulator`` shims must route through the same engine;
+   :class:`~repro.runtime.SweepEngine` bit for bit;
 3. **Wire format** — ``DecoderConfig.to_dict``/``from_dict`` must
    round-trip every field (including ``QFormat``, ``layer_order`` and
    non-finite floats) through strict JSON with the cache identity
@@ -146,20 +145,6 @@ class TestLinkSweepUnified:
         resumed = link.sweep([2.0, 3.0], checkpoint=path, **budget)
         assert [p.to_dict() for p in first] == [p.to_dict() for p in resumed]
 
-    def test_deprecated_simulator_routes_through_engine(self, small_code):
-        from repro.analysis.ber import BERSimulator
-
-        sim = BERSimulator(small_code, seed=21, backend="fast")
-        with pytest.deprecated_call():
-            via_shim = sim.run_sweep([1.0, 2.5], max_frames=40, batch_size=20)
-        link = repro.open(
-            "802.16e:1/2:z24", DecoderConfig(backend="fast"), seed=21
-        )
-        via_link = link.sweep([1.0, 2.5], max_frames=40, batch_size=20)
-        assert [p.to_dict() for p in via_shim] == [
-            p.to_dict() for p in via_link
-        ]
-
 
 class TestConfigWireFormat:
     def test_round_trips_every_field(self):
@@ -205,9 +190,12 @@ class TestConfigWireFormat:
         restored = DecoderConfig.from_dict({"max_iterations": 5})
         assert restored == DecoderConfig(max_iterations=5)
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(DecoderConfigError):
-            DecoderConfig.from_dict({"max_iters": 5})
+    # A shard count is refused, not decoded as if it were absent: there
+    # is one decode path.
+    @pytest.mark.parametrize("data", [{"max_iters": 5}, {"shards": 2}])
+    def test_unknown_field_rejected(self, data):
+        with pytest.raises(DecoderConfigError, match=next(iter(data))):
+            DecoderConfig.from_dict(data)
 
     def test_nonfinite_cache_keys_equal(self):
         a = DecoderConfig(app_clip=float("inf"))

@@ -212,24 +212,6 @@ class TestManager:
             snap = service.metrics_snapshot()
             assert snap["policy"] is not None
 
-    def test_sharded_service_decode_is_bit_identical(self):
-        """Acceptance: NR through the service with shards=2 replays the
-        single-decoder serial schedule exactly."""
-        matcher = _matcher()
-        e = matcher.ncb // 2
-        serial_config = DecoderConfig(backend="fast")
-        sharded_config = DecoderConfig(backend="fast", shards=2)
-        local = HarqSession(matcher.code, serial_config)
-        with DecodeService(workers=1, default_config=sharded_config) as service:
-            manager = HarqManager(service, MODE, config=sharded_config)
-            for rv, seed in ((0, 80), (2, 81)):
-                llr, _ = _transmission(matcher, rv, e, 1.5, noise_seed=seed)
-                local.push(llr, rv)
-                sharded = manager.submit(llr, rv).result(timeout=30)
-            serial = local.decode()
-            assert np.array_equal(sharded.bits, serial.bits)
-            assert np.array_equal(sharded.iterations, serial.iterations)
-
 
 # ---------------------------------------------------------------------------
 # Wire: stateful HARQ decode over the asyncio server

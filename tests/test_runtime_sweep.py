@@ -3,7 +3,7 @@
 The headline contract: a parallel sweep (``workers >= 2``, process pool,
 speculative chunk execution) produces **exactly** the same
 :class:`~repro.analysis.ber.SnrPoint` statistics as the serial engine,
-which in turn backs ``BERSimulator.run_point``/``run_sweep``.
+which in turn backs :meth:`repro.link.Link.sweep`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.ber import BERSimulator, SnrPoint
+from repro.analysis.ber import SnrPoint
+from repro.decoder import DecoderConfig, LayeredDecoder
+from repro.encoder import make_encoder
 from repro.errors import SimulationError
 from repro.runtime import (
     SweepEngine,
@@ -127,13 +129,17 @@ class TestSerialParallelEquivalence:
         parallel = SweepEngine(small_code, seed=9, workers=2).run(EBN0, **BUDGET)
         assert _dicts(serial) == _dicts(parallel)
 
-    def test_simulator_run_sweep_workers_identical(self, small_code):
-        # The deprecated BERSimulator shim, exercised explicitly.
-        sim = BERSimulator(small_code, seed=9)
-        with pytest.deprecated_call():
-            serial = sim.run_sweep(EBN0, **BUDGET)
-        with pytest.deprecated_call():
-            parallel = sim.run_sweep(EBN0, workers=2, **BUDGET)
+    def test_prebuilt_decoder_workers_identical(self, small_code):
+        # A caller-supplied decoder and encoder (what Link.sweep passes)
+        # serve the serial path; pool workers build their own.
+        prebuilt = dict(
+            decoder=LayeredDecoder(small_code),
+            encoder=make_encoder(small_code),
+        )
+        serial = SweepEngine(small_code, seed=9, **prebuilt).run(EBN0, **BUDGET)
+        parallel = SweepEngine(
+            small_code, seed=9, workers=2, **prebuilt
+        ).run(EBN0, **BUDGET)
         assert _dicts(serial) == _dicts(parallel)
 
     def test_point_statistics_independent_of_sweep_order(self, small_code):
@@ -344,6 +350,16 @@ class TestExecutorGate:
         engine.run(EBN0, **BUDGET)
         assert engine.last_decision["executor"] == "serial"
         assert engine.last_decision["reason"] == "workers < 2"
+
+    def test_last_decision_resets_each_run(self, small_code):
+        engine = SweepEngine(small_code, DecoderConfig(max_iterations=2))
+        assert engine.last_decision is None
+        engine.run([4.0], max_frames=4, min_frame_errors=100, batch_size=2)
+        assert engine.last_decision is not None
+        with pytest.raises(SimulationError):
+            engine.run([4.0], max_frames=0)
+        # A failed run must not leave the previous run's verdict behind.
+        assert engine.last_decision is None
 
     def test_auto_gate_always_records_a_verdict(self, small_code):
         engine = SweepEngine(small_code, seed=9, workers=2)

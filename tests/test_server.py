@@ -18,6 +18,7 @@ from repro.codes import get_code
 from repro.decoder import DecoderConfig, LayeredDecoder
 from repro.errors import (
     DeadlineExceeded,
+    DecoderConfigError,
     ProtocolError,
     ServiceClosedError,
     ServiceError,
@@ -184,14 +185,31 @@ class TestRequestParsing:
         with pytest.raises(ProtocolError, match="payload is"):
             protocol.parse_request(header, llr.tobytes()[:-8])
 
-    def test_bad_config_dict_is_config_error_not_protocol_error(self):
+    @pytest.mark.parametrize(
+        "config,match",
+        [
+            ({"not_a_config_field": 1}, "unknown"),
+            ({"shards": 2}, "unknown"),
+            ({"max_iterations": "10"}, "max_iterations"),
+            ({"max_iterations": 2.5}, "max_iterations"),
+            ({"max_iterations": True}, "max_iterations"),
+            ({"llr_clip": None}, "llr_clip"),
+            ({"llr_clip": "nan"}, "llr_clip"),
+            ({"siso_guard_bits": "2"}, "siso_guard_bits"),
+            ({"layer_order": 5}, "layer_order"),
+            ({"qformat": [1]}, "qformat"),
+            ({"app_extra_bits": 60}, "app_extra_bits"),
+            ({"qformat": ["QFormat", 40, 2]}, "int32"),
+        ],
+    )
+    def test_bad_config_dict_is_config_error_not_protocol_error(
+        self, config, match
+    ):
         # Well-framed but semantically invalid config: per-request
         # failure, not a stream poisoner.
-        from repro.errors import DecoderConfigError
-
         llr = _llr(1, seed=4)
-        header = self._header(llr, config={"not_a_config_field": 1})
-        with pytest.raises(DecoderConfigError, match="unknown"):
+        header = self._header(llr, config=config)
+        with pytest.raises(DecoderConfigError, match=match):
             protocol.parse_request(header, llr.tobytes())
 
 
@@ -368,6 +386,35 @@ class TestDecodeServer:
 
         direct = LayeredDecoder(get_code(WIMAX), CONFIG).decode(llr)
         assert np.array_equal(_serve(scenario).bits, direct.bits)
+
+    def test_config_with_shards_gets_typed_config_error(self):
+        llr = _llr(1, seed=31)
+        header = {
+            "id": 7,
+            "mode": WIMAX,
+            "config": {**CONFIG.to_dict(), "shards": 2},
+            "dtype": llr.dtype.str,
+            "shape": list(llr.shape),
+            "timeout": None,
+        }
+        frame = protocol.encode_frame(
+            protocol.FrameType.REQUEST, header, llr.tobytes()
+        )
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(frame)
+            await writer.drain()
+            ftype, reply, _ = await protocol.read_frame(reader)
+            writer.close()
+            await writer.wait_closed()
+            assert ftype == protocol.FrameType.ERROR
+            return protocol.parse_error(reply)
+
+        request_id, exc = _serve(scenario)
+        assert request_id == 7
+        assert isinstance(exc, DecoderConfigError)
+        assert "shards" in str(exc)
 
     def test_deadline_crosses_the_wire_as_deadline_exceeded(self):
         service = DecodeService(

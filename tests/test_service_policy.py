@@ -615,19 +615,3 @@ class TestIncrementalService:
                 LayeredDecoder(code, config).decode(payload),
                 "drained continuation",
             )
-
-    def test_sharded_configs_fall_back_to_one_shot(self):
-        """A fabric decoder has no resumable state; slicing skips it."""
-        code = get_code(WIMAX_SMALL)
-        rng = np.random.default_rng(SEED + 6)
-        llr = 4.0 * rng.standard_normal((3, code.n))
-        config = DecoderConfig(backend="fast", shards=2)
-        with DecodeService(
-            workers=2, max_wait=0.002, iteration_slice=2
-        ) as service:
-            served = service.submit(
-                WIMAX_SMALL, llr, config=config
-            ).result(timeout=60)
-            snap = service.metrics_snapshot()
-        assert served.batch_size == 3
-        assert snap["decode_slices"] == 0  # one-shot path took it
