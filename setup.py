@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Package metadata: the repo's only packaging file.
 
-The canonical metadata lives in ``pyproject.toml``.  This file exists so
-that fully offline environments without the ``wheel`` package can still do
-an editable install via the legacy path::
+The library's one runtime dependency is numpy.  The legacy path lets
+fully offline environments without the ``wheel`` package still do an
+editable install::
 
     pip install -e . --no-build-isolation
 
@@ -18,5 +18,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24"],
 )

@@ -1,10 +1,11 @@
 """Expanded quasi-cyclic LDPC codes.
 
 :class:`QCLDPCCode` binds a :class:`~repro.codes.base_matrix.BaseMatrix` to
-its expanded sparse parity-check matrix ``H`` and exposes every view the
-rest of the library needs: sparse H for syndrome checks, per-layer gather
-tables for the vectorized layered decoder, and Tanner-graph adjacency for
-validation.
+its expansion, held once as :attr:`QCLDPCCode.layer_indices`: per layer,
+the variable indices its checks read.  Like the chip's mode ROM, which
+its controller and shifter both read, that one table serves every parity
+consumer: syndromes, decode plans, bit flipping and the girth check.  A
+dense ``H`` is built from it only for small-code matrix algebra.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.codes.base_matrix import BaseMatrix, BlockEntry
-from repro.errors import CodeConstructionError
 
 
 class QCLDPCCode:
@@ -82,28 +81,60 @@ class QCLDPCCode:
         )
 
     # ------------------------------------------------------------------
-    # Expanded matrix views
+    # The shift table and its views
     # ------------------------------------------------------------------
     @cached_property
-    def H(self) -> sp.csr_matrix:
-        """The expanded ``M x N`` parity-check matrix (CSR, uint8)."""
+    def layer_tables(self) -> list[list[BlockEntry]]:
+        """Per-layer lists of non-zero blocks (the decoder's inner loop)."""
+        return [self.base.layer_blocks(layer) for layer in range(self.base.j)]
+
+    @cached_property
+    def layer_indices(self) -> tuple[np.ndarray, ...]:
+        """Per layer, the ``(d_l, z)`` int32 variable indices its checks read.
+
+        Row ``i`` is block ``i`` of :attr:`layer_tables`: check ``r`` of
+        the layer reads variable ``column * z + (r + shift) % z``.  Each
+        is a read-only view into :attr:`_shift_table`; decode plans share
+        them.
+        """
+        return tuple(
+            self._shift_table[layer, : len(blocks)]
+            for layer, blocks in enumerate(self.layer_tables)
+        )
+
+    @cached_property
+    def _shift_table(self) -> np.ndarray:
+        """The ``(j, max d_l, z)`` shift table; padding reads variable ``N``."""
         z = self.z
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        r_idx = np.arange(z)
-        for block in self.base.nonzero_blocks():
-            rows.append(block.layer * z + r_idx)
-            cols.append(block.column * z + (r_idx + block.shift) % z)
-        row = np.concatenate(rows)
-        col = np.concatenate(cols)
-        data = np.ones(row.shape[0], dtype=np.uint8)
-        matrix = sp.coo_matrix((data, (row, col)), shape=(self.m, self.n))
-        result = matrix.tocsr()
-        if (result.data != 1).any():  # a duplicate entry would make data=2
-            raise CodeConstructionError(
-                f"code {self.name!r}: overlapping block entries in H"
-            )
-        return result
+        rows = np.arange(z)
+        degree = max(len(blocks) for blocks in self.layer_tables)
+        table = np.full((len(self.layer_tables), degree, z), self.n, np.int32)
+        for layer, blocks in enumerate(self.layer_tables):
+            for i, block in enumerate(blocks):
+                table[layer, i] = block.column * z + (rows + block.shift) % z
+        table.setflags(write=False)
+        return table
+
+    def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every Tanner-graph edge (one in ``H``) as ``(checks, variables)``."""
+        table = self._shift_table
+        checks = np.arange(self.m).reshape(-1, 1, self.z)
+        real = table < self.n
+        return np.broadcast_to(checks, table.shape)[real], table[real]
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The expanded ``M x N`` parity-check matrix, dense and read-only.
+
+        Built from the shift table on first access, for matrix
+        algebra (GF(2) rank, the generic encoder, exhibits).  It costs
+        ``O(M * N)`` bytes, so it is meant for small codes; no decode,
+        sweep or serving path builds it.
+        """
+        h = np.zeros((self.m, self.n), dtype=np.uint8)
+        h[self.edge_list()] = 1
+        h.setflags(write=False)
+        return h
 
     def syndrome(self, codewords: np.ndarray) -> np.ndarray:
         """Compute ``H @ x^T mod 2`` for one codeword or a batch.
@@ -111,7 +142,8 @@ class QCLDPCCode:
         Parameters
         ----------
         codewords:
-            ``(N,)`` or ``(B, N)`` bit array.
+            ``(N,)`` or ``(B, N)`` bit array; only the low bit of each
+            entry counts.
 
         Returns
         -------
@@ -122,10 +154,16 @@ class QCLDPCCode:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        if x.shape[1] != self.n:
-            raise ValueError(f"codeword length {x.shape[1]} != N={self.n}")
-        s = (self.H @ x.T.astype(np.int32)) % 2
-        s = s.T.astype(np.uint8)
+        batch, n = x.shape
+        if n != self.n:
+            raise ValueError(f"codeword length {n} != N={self.n}")
+        # Frame-minor bits, so each index gathers a run of B bytes; the
+        # padding slots of short layers read the zero row N.
+        bits = np.zeros((n + 1, batch), dtype=np.uint8)
+        np.bitwise_and(x.T, 1, out=bits[:n])
+        table = self._shift_table
+        s = np.bitwise_xor.reduce(bits.take(table, axis=0), axis=1)
+        s = s.reshape(table.shape[0] * table.shape[2], batch).T
         return s[0] if single else s
 
     def is_codeword(self, codewords: np.ndarray) -> "bool | np.ndarray":
@@ -134,14 +172,6 @@ class QCLDPCCode:
         if s.ndim == 1:
             return not s.any()
         return ~s.any(axis=1)
-
-    # ------------------------------------------------------------------
-    # Decoder gather tables
-    # ------------------------------------------------------------------
-    @cached_property
-    def layer_tables(self) -> list[list[BlockEntry]]:
-        """Per-layer lists of non-zero blocks (the decoder's inner loop)."""
-        return [self.base.layer_blocks(layer) for layer in range(self.base.j)]
 
     @cached_property
     def max_layer_degree(self) -> int:
@@ -155,27 +185,6 @@ class QCLDPCCode:
         columns; the early-termination rule (paper §IV) only inspects these.
         """
         return np.arange(self.n_info)
-
-    # ------------------------------------------------------------------
-    # Graph view (for validation / girth)
-    # ------------------------------------------------------------------
-    def tanner_graph(self):
-        """Bipartite Tanner graph as a :mod:`networkx` graph.
-
-        Check node ``m`` is labelled ``("c", m)``; variable node ``n`` is
-        ``("v", n)``.  Intended for small-to-medium codes (validation and
-        examples); the Monte-Carlo path never touches it.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        coo = self.H.tocoo()
-        graph.add_nodes_from(("c", int(r)) for r in range(self.m))
-        graph.add_nodes_from(("v", int(c)) for c in range(self.n))
-        graph.add_edges_from(
-            (("c", int(r)), ("v", int(c))) for r, c in zip(coo.row, coo.col)
-        )
-        return graph
 
     # ------------------------------------------------------------------
     # Structural statistics (Fig. 1 / Table 1 exhibits)

@@ -6,7 +6,8 @@ Checks performed:
 - GF(2) rank of the expanded H (encodability; small codes only by
   default — rank of a 7493-column matrix is expensive),
 - 4-cycle counting from the base matrix (exact, cheap),
-- girth of the expanded Tanner graph (networkx, small codes only).
+- girth of the expanded Tanner graph (BFS over the code's shift table,
+  small codes only).
 
 The validator returns a :class:`ValidationReport` rather than raising, so
 experiments can tabulate properties of synthetic vs standard matrices.
@@ -58,25 +59,34 @@ class ValidationReport:
 
 def expanded_rank(code: QCLDPCCode) -> int:
     """GF(2) rank of the expanded parity-check matrix."""
-    return GF2Matrix(code.H.toarray()).rank()
+    return GF2Matrix(code.H).rank()
 
 
 def tanner_girth(code: QCLDPCCode) -> int:
     """Girth (shortest cycle length) of the Tanner graph.
 
-    Uses a BFS from every variable node; cycles through a bipartite graph
-    have even length, so the result is 4, 6, 8, ... or 0 for a forest.
+    Uses a BFS from every node; cycles through a bipartite graph have
+    even length, so the result is 4, 6, 8, ... or 0 for a forest.
     """
-    graph = code.tanner_graph()
-    return _girth_bfs(graph)
+    return _girth_bfs(_tanner_adjacency(code))
 
 
-def _girth_bfs(graph) -> int:
+def _tanner_adjacency(code: QCLDPCCode) -> list[list[int]]:
+    """Neighbour lists: check ``c`` is node ``c``, variable ``v`` node ``M + v``."""
+    adjacency: list[list[int]] = [[] for _ in range(code.m + code.n)]
+    checks, variables = code.edge_list()
+    for check, variable in zip(checks.tolist(), (variables + code.m).tolist()):
+        adjacency[check].append(variable)
+        adjacency[variable].append(check)
+    return adjacency
+
+
+def _girth_bfs(adjacency: list[list[int]]) -> int:
     """Shortest cycle length by BFS from each node (adequate for tests)."""
     import collections
 
     best = 0
-    for source in graph.nodes:
+    for source in range(len(adjacency)):
         # BFS recording parent; a cross-edge at depths d1, d2 closes a
         # cycle of length d1 + d2 + 1.
         depth = {source: 0}
@@ -85,7 +95,7 @@ def _girth_bfs(graph) -> int:
         local_best = 0
         while queue:
             node = queue.popleft()
-            for neighbor in graph[node]:
+            for neighbor in adjacency[node]:
                 if neighbor not in depth:
                     depth[neighbor] = depth[node] + 1
                     parent[neighbor] = node

@@ -102,11 +102,6 @@ def _canonical_value(value):
     """
     if isinstance(value, QFormat):
         return ("QFormat", value.total_bits, value.frac_bits)
-    # layer_order is documented as a tuple but a list works everywhere
-    # else (resolve_layer_order re-tuples it); the key must not be the
-    # one place a list crashes unhashable.
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
     if isinstance(value, float) and not math.isfinite(value):
         if math.isnan(value):
             return "nan"
@@ -296,6 +291,8 @@ class DecoderConfig:
                 )
             for layer in self.layer_order:
                 _require_int("layer_order entry", layer, 0)
+            # A list would leave the frozen config unhashable.
+            object.__setattr__(self, "layer_order", tuple(self.layer_order))
         if self.et_threshold < 0:
             raise DecoderConfigError("et_threshold must be non-negative")
         if not 0 < self.normalization <= 1:
@@ -403,8 +400,6 @@ class DecoderConfig:
         for name, value in data.items():
             if name == "qformat" and value is not None:
                 value = _qformat_from_dict(value)
-            elif name == "layer_order" and isinstance(value, list):
-                value = tuple(value)
             elif (
                 isinstance(value, str)
                 and value in ("inf", "-inf", "nan")

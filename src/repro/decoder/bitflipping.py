@@ -48,24 +48,23 @@ class GallagerBDecoder:
             raise ValueError("max_iterations must be >= 1")
         self.code = code
         self.max_iterations = max_iterations
-        h = code.H
-        degrees = np.asarray(h.sum(axis=0)).ravel().astype(np.int64)
+        self._edge_checks, self._edge_variables = code.edge_list()
+        degrees = np.bincount(self._edge_variables, minlength=code.n)
         if flip_threshold is None:
             self._thresholds = (degrees + 1 + 1) // 2  # strict majority
         else:
             if flip_threshold < 1:
                 raise ValueError("flip_threshold must be >= 1")
             self._thresholds = np.full_like(degrees, flip_threshold)
-        self._h = h
-        self._ht = h.T.tocsr()
 
     def decode(self, channel_llr: np.ndarray) -> DecodeResult:
         """Decode ``(N,)`` or ``(B, N)`` channel LLRs (hard input only)."""
         llr = np.asarray(channel_llr, dtype=np.float64)
         if llr.ndim == 1:
             llr = llr[None, :]
-        if llr.shape[1] != self.code.n:
-            raise ValueError(f"channel LLRs must be (B, {self.code.n})")
+        n = self.code.n
+        if llr.shape[1] != n:
+            raise ValueError(f"channel LLRs must be (B, {n})")
         bits = (llr < 0).astype(np.uint8)
         batch = bits.shape[0]
 
@@ -76,17 +75,19 @@ class GallagerBDecoder:
         for iteration in range(1, self.max_iterations + 1):
             if active.size == 0:
                 break
-            syndrome = (self._h @ working[active].T.astype(np.int32)) % 2
-            unsatisfied_checks = syndrome.astype(np.int64)  # (M, B_act)
-            done = ~unsatisfied_checks.any(axis=0)
+            syndrome = self.code.syndrome(working[active])  # (B_act, M)
+            done = ~syndrome.any(axis=1)
             if done.any():
                 iterations[active[done]] = iteration - 1
                 active = active[~done]
                 if active.size == 0:
                     break
-                unsatisfied_checks = unsatisfied_checks[:, ~done]
-            # Unsatisfied checks incident to each bit.
-            per_bit = (self._ht @ unsatisfied_checks).T  # (B_act, N)
+                syndrome = syndrome[~done]
+            # Unsatisfied checks incident to each bit, counted per edge.
+            frames, edges = np.nonzero(syndrome[:, self._edge_checks])
+            per_bit = np.bincount(
+                frames * n + self._edge_variables[edges], minlength=active.size * n
+            ).reshape(active.size, n)
             flips = per_bit >= self._thresholds[None, :]
             # A round with no flips is a dead end: freeze those frames.
             stuck = ~flips.any(axis=1)

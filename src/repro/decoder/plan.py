@@ -3,16 +3,14 @@
 The hardware reaches its throughput because nothing about the code
 structure is recomputed at run time: the controller walks precomputed
 shift/address ROMs and the datapath streams messages through them.  A
-:class:`DecodePlan` plays the same role here — it compiles a
+:class:`DecodePlan` plays the same role here — it lays out a
 :class:`~repro.codes.qc.QCLDPCCode` (plus an optional layer permutation)
-once into flat ``int32`` gather/scatter index arrays, per-layer degree
-tables, and a pool of reusable working buffers.  Decoders build a plan at
-construction and every backend (see :mod:`repro.decoder.backends`)
-executes against it, so the per-call cost is pure arithmetic.
-
-Index convention (mirrors :attr:`QCLDPCCode.H`): the block at layer ``l``,
-column ``c`` with shift ``x`` connects check row ``r`` of the layer to
-variable ``c * z + (r + x) % z``.
+once as ``int32`` gather/scatter indices, per-layer degree tables, and a
+pool of reusable working buffers.  The indices are views of the code's
+own :attr:`~repro.codes.qc.QCLDPCCode.layer_indices` in processing
+order, not a copy.  Decoders build a plan at construction and every
+backend (see :mod:`repro.decoder.backends`) executes against it, so the
+per-call cost is pure arithmetic.
 """
 
 from __future__ import annotations
@@ -109,7 +107,6 @@ class DecodePlan:
         self.code = code
         self.layer_order = resolve_layer_order(code, layer_order)
         z = code.z
-        row_index = np.arange(z)
         gather: list[np.ndarray] = []
         flat: list[np.ndarray] = []
         ranges: list[list[tuple[int, int]]] = []
@@ -118,14 +115,9 @@ class DecodePlan:
         offset = 0
         for layer in self.layer_order:
             blocks = code.layer_tables[layer]
-            idx = np.stack(
-                [
-                    block.column * z + (row_index + block.shift) % z
-                    for block in blocks
-                ]
-            ).astype(np.int32)
+            idx = code.layer_indices[layer]
             gather.append(idx)
-            flat.append(np.ascontiguousarray(idx.reshape(-1)))
+            flat.append(idx.reshape(-1))
             ranges.append(
                 [(int(block.column) * z, int(block.shift)) for block in blocks]
             )
@@ -181,46 +173,26 @@ class DecodePlan:
         return buffer[: shape[0]]
 
     def validate(self) -> None:
-        """Re-derive every index from ``code.layer_tables`` and compare.
+        """Check the layout the backends rely on.
 
-        Also checks that no layer reads a variable twice, which the
-        backends' one-assignment write-back relies on.
+        Every layer's indices must be distinct, for the backends'
+        one-assignment write-back, and the Λ slices must tile the message
+        memory in processing order.
 
         Raises
         ------
         DecoderConfigError
-            If any compiled table disagrees with the code structure, or
-            a layer's indices are not distinct.
+            If a layer reads a variable twice or a Λ slice is misaligned.
         """
-        z = self.code.z
-        row_index = np.arange(z)
         offset = 0
         for pos, layer in enumerate(self.layer_order):
-            blocks = self.code.layer_tables[layer]
-            expected = np.stack(
-                [
-                    block.column * z + (row_index + block.shift) % z
-                    for block in blocks
-                ]
-            )
-            if not np.array_equal(self.gather_indices[pos], expected):
-                raise DecoderConfigError(
-                    f"plan gather table for layer {layer} disagrees with "
-                    f"code.layer_tables"
-                )
-            if not np.array_equal(
-                self.flat_indices[pos], expected.reshape(-1)
-            ):
-                raise DecoderConfigError(
-                    f"plan flat table for layer {layer} disagrees with "
-                    f"code.layer_tables"
-                )
+            degree = len(self.code.layer_tables[layer])
             self._check_distinct(pos)
-            if self.lambda_slices[pos] != slice(offset, offset + len(blocks)):
+            if self.lambda_slices[pos] != slice(offset, offset + degree):
                 raise DecoderConfigError(
                     f"plan lambda slice for layer {layer} is misaligned"
                 )
-            offset += len(blocks)
+            offset += degree
         if offset != self.total_blocks:
             raise DecoderConfigError("plan total_blocks is inconsistent")
 

@@ -39,7 +39,7 @@ class GenericEncoder:
 
     def __init__(self, code: QCLDPCCode):
         self.code = code
-        h_bits = code.H.toarray().astype(np.uint8)
+        h_bits = code.H
         m, n = h_bits.shape
         k = n - m
 

@@ -30,7 +30,7 @@ def run(z: int = 6) -> dict:
         sub = h[
             block.layer * zc : (block.layer + 1) * zc,
             block.column * zc : (block.column + 1) * zc,
-        ].toarray()
+        ]
         # I_x[r, c] = 1 iff c == (r + x) mod z.
         expected = np.roll(np.eye(zc, dtype=np.uint8), block.shift, axis=1)
         if np.array_equal(sub, expected):

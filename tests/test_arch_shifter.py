@@ -51,7 +51,7 @@ class TestRouting:
     def test_matches_base_matrix_convention(self, tiny_code):
         """The shifter must realize H's connectivity exactly."""
         shifter = CircularShifter(tiny_code.z)
-        h = tiny_code.H.toarray()
+        h = tiny_code.H
         z = tiny_code.z
         block = tiny_code.base.nonzero_blocks()[0]
         column_values = np.arange(z)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codes import get_code
 from repro.codes.base_matrix import BaseMatrix
 from repro.codes.qc import QCLDPCCode
 
@@ -31,7 +32,7 @@ class TestExpansion:
             assert (block == expected).all()
 
     def test_each_block_is_permutation(self, code):
-        h = code.H.toarray()
+        h = code.H
         for block in code.base.nonzero_blocks():
             sub = h[
                 block.layer * 4 : (block.layer + 1) * 4,
@@ -41,7 +42,48 @@ class TestExpansion:
             assert np.array_equal(sub, expected)
 
     def test_num_edges(self, code):
-        assert code.num_edges == code.H.nnz
+        assert code.num_edges == np.count_nonzero(code.H)
+
+    def test_h_is_dense_read_only_uint8(self, code):
+        assert isinstance(code.H, np.ndarray)
+        assert code.H.dtype == np.uint8
+        assert not code.H.flags.writeable
+        assert code.H is code.H  # built once
+
+
+@pytest.fixture(params=["qc-test", "802.16e:1/2:z24", "802.11n:1/2:z27"])
+def any_code(request, code):
+    return code if request.param == "qc-test" else get_code(request.param)
+
+
+class TestShiftTable:
+    def test_layer_indices_match_layer_tables(self, any_code):
+        """The one table re-derives from the block list and shift rule."""
+        z = any_code.z
+        rows = np.arange(z)
+        for layer, blocks in enumerate(any_code.layer_tables):
+            expected = np.stack(
+                [block.column * z + (rows + block.shift) % z for block in blocks]
+            )
+            assert np.array_equal(any_code.layer_indices[layer], expected)
+
+    def test_layer_indices_int32_read_only(self, any_code):
+        for layer, idx in enumerate(any_code.layer_indices):
+            assert idx.dtype == np.int32
+            assert idx.shape == (len(any_code.layer_tables[layer]), any_code.z)
+            assert idx.flags.c_contiguous
+            assert not idx.flags.writeable
+
+    def test_layer_indices_distinct_within_layer(self, any_code):
+        for idx in any_code.layer_indices:
+            assert np.unique(idx).size == idx.size
+
+    def test_edge_list_is_h(self, any_code):
+        checks, variables = any_code.edge_list()
+        edges = any_code.num_edges
+        assert checks.size == variables.size == edges
+        assert len(set(zip(checks.tolist(), variables.tolist()))) == edges
+        assert (any_code.H[checks, variables] == 1).all()
 
 
 class TestSyndrome:
@@ -86,14 +128,6 @@ class TestViews:
     def test_info_bit_indices(self, code):
         idx = code.info_bit_indices()
         assert idx[0] == 0 and idx[-1] == code.n_info - 1
-
-    def test_tanner_graph_bipartite_sizes(self, code):
-        graph = code.tanner_graph()
-        checks = [n for n in graph.nodes if n[0] == "c"]
-        variables = [n for n in graph.nodes if n[0] == "v"]
-        assert len(checks) == code.m
-        assert len(variables) == code.n
-        assert graph.number_of_edges() == code.num_edges
 
     def test_structure_summary_keys(self, code):
         summary = code.structure_summary()

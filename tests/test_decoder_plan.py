@@ -15,18 +15,19 @@ def code(request):
 
 
 class TestGatherIndices:
-    def test_indices_match_layer_tables(self, code):
-        """The compiled tables must re-derive from QCLDPCCode.layer_tables."""
-        plan = DecodePlan(code)
-        z = code.z
-        rows = np.arange(z)
-        for pos, layer in enumerate(plan.layer_order):
-            blocks = code.layer_tables[layer]
-            expected = np.stack(
-                [block.column * z + (rows + block.shift) % z for block in blocks]
-            )
-            assert np.array_equal(plan.gather_indices[pos], expected)
-            assert np.array_equal(plan.flat_indices[pos], expected.reshape(-1))
+    def test_indices_are_the_codes_table(self, code):
+        """The plan views the code's one shift table, in processing order.
+
+        That table's derivation from ``layer_tables`` is tested in
+        tests/test_codes_qc.py.
+        """
+        order = tuple(reversed(range(code.base.j)))
+        plan = DecodePlan(code, order)
+        for pos, layer in enumerate(order):
+            table = code.layer_indices[layer]
+            assert plan.gather_indices[pos] is table
+            assert np.shares_memory(plan.flat_indices[pos], table)
+            assert np.array_equal(plan.flat_indices[pos], table.reshape(-1))
 
     def test_block_ranges_agree_with_gather(self, code):
         """(start, shift) slice descriptors describe the same positions."""

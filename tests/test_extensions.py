@@ -1,5 +1,7 @@
 """Tests for the extension modules: Gallager-B and density evolution."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,43 @@ class TestGallagerB:
         result = GallagerBDecoder(small_code, max_iterations=15).decode(llr)
         assert (result.iterations >= 1).all()
         assert (result.iterations <= 15).all()
+
+    # Outputs of the sparse-matrix implementation this decoder replaced
+    # (12 frames of 802.16e:1/2:z24, 30 rounds): ``bits`` is pinned by a
+    # digest of the packed hard words.
+    PINNED = {
+        (6.0, 42, None): (
+            [5, 10, 5, 4, 30, 5, 3, 7, 11, 14, 3, 3],
+            [1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1],
+            "1b47ca71075dd5ee",
+        ),
+        (6.0, 42, 3): (
+            [2, 30, 3, 30, 4, 6, 5, 4, 3, 30, 30, 5],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "b070fb4f63e991fe",
+        ),
+        (7.0, 43, None): (
+            [3, 2, 3, 1, 2, 3, 2, 5, 6, 6, 2, 3],
+            [1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1],
+            "0f85c86717d3a62e",
+        ),
+        (7.0, 43, 3): (
+            [3, 2, 2, 3, 3, 2, 3, 1, 4, 3, 2, 3],
+            [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+            "635a5898dcad7c11",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED, key=str))
+    def test_outputs_pinned(self, small_code, small_encoder, case):
+        ebn0, seed, threshold = case
+        iterations, converged, digest = self.PINNED[case]
+        _, _, llr = make_noisy_llrs(small_code, small_encoder, ebn0, 12, seed)
+        result = GallagerBDecoder(small_code, flip_threshold=threshold).decode(llr)
+        packed = np.packbits(result.bits, axis=1).tobytes()
+        assert result.iterations.tolist() == iterations
+        assert result.converged.astype(int).tolist() == converged
+        assert hashlib.sha256(packed).hexdigest()[:16] == digest
 
 
 class TestPhi:

@@ -98,6 +98,18 @@ class TestConfigCacheKey:
         entry = PlanCache().get(small_code, as_list)
         assert entry.plan.layer_order == tuple(order)
 
+    def test_list_layer_order_config_is_hashable_and_round_trips(self):
+        as_list = DecoderConfig(layer_order=[1, 0])
+        as_tuple = DecoderConfig(layer_order=(1, 0))
+        assert as_list.layer_order == (1, 0)
+        assert hash(as_list) == hash(as_tuple)
+        assert as_tuple in {as_list}
+        assert DecoderConfig.from_dict(as_list.to_dict()) == as_list
+        assert as_list.to_dict()["layer_order"] == [1, 0]
+        # Pinned: the key is the one a list canonicalized to before.
+        assert dict(as_list.cache_key())["layer_order"] == (1, 0)
+        assert as_list.stable_hash() == "6a07eb3f8304f634"
+
     def test_stable_hash_is_hex_and_process_stable(self):
         digest = FIXED_CONFIG.stable_hash()
         assert len(digest) == 16
