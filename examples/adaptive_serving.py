@@ -116,9 +116,7 @@ def main(argv=None) -> int:
     code = get_code(MODE)
     storm = make_storm(code, args.requests, args.seed)
     static_config = DecoderConfig(
-        backend="fast",
-        qformat=QFormat(8, 2),
-        early_termination="paper-or-syndrome",
+        qformat=QFormat(8, 2), early_termination="paper-or-syndrome"
     )
 
     static = serve(storm, report_snr=False, default_config=static_config)

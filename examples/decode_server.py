@@ -37,7 +37,7 @@ from repro.errors import DeadlineExceeded
 from repro.server import DecodeClient, DecodeServer
 
 MODES = ("802.16e:1/2:z24", "802.11n:1/2:z27")
-CONFIG = DecoderConfig(backend="fast", early_termination="paper-or-syndrome")
+CONFIG = DecoderConfig(early_termination="paper-or-syndrome")
 
 
 async def run_client(name: str, address, payloads) -> int:

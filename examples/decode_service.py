@@ -27,8 +27,8 @@ import repro
 from repro import DecoderConfig, QFormat
 
 MODES = ("802.16e:1/2:z24", "802.11n:1/2:z27")
-FLOAT_CONFIG = DecoderConfig(backend="fast")
-FIXED_CONFIG = DecoderConfig(backend="fast", qformat=QFormat(8, 2))
+FLOAT_CONFIG = DecoderConfig()
+FIXED_CONFIG = DecoderConfig(qformat=QFormat(8, 2))
 
 
 def main(seed: int = 42) -> None:

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
 
     session = HarqSession(
         code,
-        DecoderConfig(backend="fast", early_termination="paper-or-syndrome"),
+        DecoderConfig(early_termination="paper-or-syndrome"),
     )
     print(
         f"{MODE} (N={code.n}, K={code.n_info}), {BLOCKS} transport blocks, "

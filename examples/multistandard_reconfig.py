@@ -44,7 +44,7 @@ FRAME_STREAM = [
 
 def main(seed: int = 7) -> None:
     rng = np.random.default_rng(seed)
-    config = DecoderConfig(backend="fast")
+    config = DecoderConfig()
 
     # One Link per standard in the stream, all over one plan cache —
     # the software picture of the chip's resident mode-ROM record set.

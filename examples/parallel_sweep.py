@@ -34,7 +34,7 @@ EBN0_POINTS = [1.0, 2.0, 3.0]
 
 
 def main(frames: int = 400, seed: int = 11) -> None:
-    config = DecoderConfig(backend="fast")
+    config = DecoderConfig()
     link = repro.open("802.16e:1/2:z24", config, seed=seed)
     print(f"code: {link.code}\n")
 

@@ -6,9 +6,9 @@ Public surface:
 - :class:`LayeredDecoder` — paper Algorithm 1 (float or fixed point);
 - :class:`FloodingDecoder` — two-phase scheduling baseline;
 - :class:`DecodePlan` — compiled gather/scatter schedule (shift-ROM analogue);
-- the backend registry in :mod:`repro.decoder.backends`
-  (``reference`` / ``fast``), selected via
-  ``DecoderConfig(backend=...)`` or ``REPRO_DECODER_BACKEND``;
+- the backend registry in :mod:`repro.decoder.backends`: the fused
+  ``fast`` kernels by default, the ``reference`` oracle by name
+  (``DecoderConfig(backend="reference")``);
 - check-node kernels in :mod:`repro.decoder.siso` (BP sum-sub /
   forward-backward, min-sum family, linear approximation);
 - early-termination monitors in :mod:`repro.decoder.early_termination`.
@@ -27,7 +27,6 @@ from repro.decoder.backends import (
     ReferenceBackend,
     make_backend,
     registered_backends,
-    resolve_backend_name,
 )
 from repro.decoder.bitflipping import GallagerBDecoder
 from repro.decoder.compaction import ActiveFrameSet
@@ -87,6 +86,5 @@ __all__ = [
     "make_monitor",
     "prepare_channel_llrs",
     "registered_backends",
-    "resolve_backend_name",
     "resolve_layer_order",
 ]

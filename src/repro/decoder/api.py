@@ -17,7 +17,7 @@ import dataclasses
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,9 +179,6 @@ class DecoderConfig:
     app_clip:
         Float-mode APP saturation; ``None`` selects
         ``llr_clip * 2^app_extra_bits`` to mirror the fixed datapath.
-    track_history:
-        Record per-iteration diagnostics (syndrome weight, min |LLR|,
-        bit flips) in ``DecodeResult.history``.
     compact_frames:
         Active-frame compaction (default on): frames that early-terminate
         are scattered out of the working batch each iteration, so the
@@ -195,35 +192,28 @@ class DecoderConfig:
         only the work per iteration differs.
     backend:
         Which execution backend runs the compiled decode plan (see
-        :mod:`repro.decoder.backends`): ``"reference"`` (the plain numpy
-        arithmetic, ground truth), ``"fast"`` (fused kernels for every
-        algorithm: ROM/table ⊞/⊟ folds and two-smallest min-sum
-        reductions in fixed point — bit-identical to the reference —
-        single-pass Φ-domain BP and fused min-sum kernels in float),
-        or the default ``"auto"`` which honours the
-        ``REPRO_DECODER_BACKEND`` environment variable and otherwise
-        selects ``"reference"``.  Any other name raises
-        :class:`~repro.errors.DecoderConfigError` at decoder
-        construction.
-    fast_exact:
-        Only meaningful for the ``fast`` float BP sum-subtract
-        path, which evaluates the check node in the Φ ("tanh rule")
-        domain with exclusive prefix/suffix Φ-sums.  The default
-        ``False`` runs it in float32 for memory bandwidth (matches the
-        reference to ~2e-7 relative per call on the operating range;
+        :mod:`repro.decoder.backends`): ``"fast"`` (the default; fused
+        kernels for every algorithm: ROM/table ⊞/⊟ folds and
+        two-smallest min-sum reductions in fixed point — bit-identical
+        to the reference — and single-pass float32 Φ-domain BP and fused
+        min-sum kernels in float) or ``"reference"`` (the plain numpy
+        arithmetic, the oracle the fast kernels are checked against).
+        Any other name raises :class:`~repro.errors.DecoderConfigError`
+        at decoder construction.
+
+        The fast float BP sum-subtract kernel evaluates the check node
+        in the Φ ("tanh rule") domain with exclusive prefix/suffix
+        Φ-sums, in float32 for memory bandwidth: it matches the
+        reference to ~2e-7 relative per call on the operating range.
         Φ underflows beyond |λ| ≈ 88, so extrinsics of fully saturated
-        checks cap near 88 LLR).  ``True`` keeps float64, matching the
-        reference to ~1e-8 per call — except at saturated checks, where
-        the reference's ⊟ pole rails the weakest-edge extrinsic to the
-        clip while the Φ form returns the exact finite extrinsic (the
-        tanh rule is algebraically identical to the ⊞-fold/⊟
-        recursion; the rail is the recursion's cancellation artifact).
-        Either way hard decisions
-        track the reference; iterated LLR *magnitudes* on frames that
-        keep iterating past convergence can drift (chaotic amplification
-        of last-bit differences), which is why the guarantee is stated
-        per kernel call.  Ignored by the reference backend and by
-        fixed-point configurations.
+        checks cap near 88 LLR, where the reference's ⊟ pole rails the
+        weakest-edge extrinsic to the clip instead (the tanh rule is
+        algebraically identical to the ⊞-fold/⊟ recursion; the rail is
+        the recursion's cancellation artifact).  Hard decisions track
+        the reference; iterated LLR *magnitudes* on frames that keep
+        iterating past convergence can drift (chaotic amplification of
+        last-bit differences), which is why the guarantee is stated per
+        kernel call.
     """
 
     check_node: str = "bp"
@@ -239,10 +229,8 @@ class DecoderConfig:
     app_extra_bits: int = 2
     siso_guard_bits: int = 2
     app_clip: float | None = None
-    track_history: bool = False
     compact_frames: bool = True
-    backend: str = "auto"
-    fast_exact: bool = False
+    backend: str = "fast"
 
     def __post_init__(self):
         if not isinstance(self.backend, str) or not self.backend:
@@ -266,11 +254,10 @@ class DecoderConfig:
             _require_number(name, getattr(self, name))
         if self.app_clip is not None:
             _require_number("app_clip", self.app_clip)
-        for name in ("track_history", "compact_frames", "fast_exact"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise DecoderConfigError(
-                    f"{name} must be a bool, got {getattr(self, name)!r}"
-                )
+        if not isinstance(self.compact_frames, (bool, np.bool_)):
+            raise DecoderConfigError(
+                f"compact_frames must be a bool, got {self.compact_frames!r}"
+            )
         if self.qformat is not None:
             if not isinstance(self.qformat, QFormat):
                 raise DecoderConfigError(
@@ -431,9 +418,6 @@ class DecodeResult:
         ``max_iterations``.
     n_info:
         Systematic prefix length (for :attr:`info_bits`).
-    history:
-        Optional per-iteration diagnostics (present when
-        ``track_history=True``): dict of lists, one entry per iteration.
     """
 
     bits: np.ndarray
@@ -442,12 +426,9 @@ class DecodeResult:
     converged: np.ndarray
     et_stopped: np.ndarray
     n_info: int
-    history: dict | None = field(default=None)
 
     @classmethod
-    def empty(
-        cls, n: int, n_info: int, history: dict | None = None
-    ) -> "DecodeResult":
+    def empty(cls, n: int, n_info: int) -> "DecodeResult":
         """A well-formed zero-frame result (the ``(0, N)`` decode case)."""
         return cls(
             bits=np.zeros((0, n), dtype=np.uint8),
@@ -456,7 +437,6 @@ class DecodeResult:
             converged=np.zeros(0, dtype=bool),
             et_stopped=np.zeros(0, dtype=bool),
             n_info=n_info,
-            history=history,
         )
 
     @property
@@ -491,8 +471,6 @@ class DecodeResult:
         alive for as long as any client holds its (possibly tiny)
         slice, amplifying service memory by up to the batch size; the
         copy costs one small memcpy per request against a full decode.
-        ``history`` is whole-batch diagnostic state and is dropped
-        rather than misattributed.
         """
         return DecodeResult(
             bits=self.bits[start:stop].copy(),
@@ -501,7 +479,6 @@ class DecodeResult:
             converged=self.converged[start:stop].copy(),
             et_stopped=self.et_stopped[start:stop].copy(),
             n_info=self.n_info,
-            history=None,
         )
 
     def bit_errors(self, reference_info: np.ndarray) -> int:

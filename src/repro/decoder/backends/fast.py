@@ -35,9 +35,8 @@ element dominates, copy each block's rotation as two contiguous slices.
 - **BP sum-subtract, float** — the sequential ⊞ fold is replaced by the
   Φ-domain "tanh rule": one transform ``Φ(|λ|)``, exclusive
   prefix/suffix cumulative sums along the degree axis, one inverse
-  transform, one sign-parity pass.  By default the whole kernel runs in
-  **float32** (``work_dtype``) for memory bandwidth;
-  ``DecoderConfig(fast_exact=True)`` keeps float64 (~1e-8/call).
+  transform, one sign-parity pass.  The whole kernel runs in
+  **float32** (``work_dtype``) for memory bandwidth.
 - **Min-sum family (plain / normalized / offset), float and fixed** —
   the reference kernel's ``argsort`` over the degree axis is replaced
   by a two-smallest reduction (one ``argmin``, one masked ``min``) plus
@@ -95,13 +94,10 @@ GUARD_ROM_MAX_ENTRIES = 1 << 20
 #: at 16–32 frames and 34–40% slower at 64–256.
 ONE_CALL_MAX_FRAMES = 8
 
-#: Φ pole freeze points: inputs below this are treated as this (see
+#: Φ pole freeze point: inputs below this are treated as this (see
 #: :func:`~repro.fixedpoint.boxplus.phi_transform`).  The smallest
-#: normal of each dtype keeps ``2 / expm1(pole)`` finite; it only
-#: guards true zeros (a zero channel LLR, or a check whose every Φ
-#: underflowed).  The *accuracy* ceiling of the kernel is set
-#: separately by the cancellation floor below, not by this pole.
-PHI_POLE_F64 = float(np.finfo(np.float64).tiny)
+#: float32 normal keeps ``2 / expm1(pole)`` finite; it only guards true
+#: zeros (a zero channel LLR, or a check whose every Φ underflowed).
 PHI_POLE_F32 = float(np.finfo(np.float32).tiny)
 
 
@@ -292,11 +288,7 @@ class FastBackend(DecoderBackend):
         return self._bp_sumsub_fixed_flat
 
     def _make_bp_sumsub_float(self):
-        if self.config.fast_exact:
-            self._phi_pole = PHI_POLE_F64
-        else:
-            self.work_dtype = np.float32
-            self._phi_pole = PHI_POLE_F32
+        self.work_dtype = np.float32
         return self._bp_sumsub_phi
 
     def _make_minsum_fixed(self):
@@ -358,7 +350,7 @@ class FastBackend(DecoderBackend):
         _check_degree(lam)
         phi = self.plan.scratch("phi", lam.shape, lam.dtype)
         np.abs(lam, out=phi)
-        phi_transform(phi, self._phi_pole, out=phi)
+        phi_transform(phi, PHI_POLE_F32, out=phi)
         # The exclusive Φ-sum is formed from prefix + suffix cumulative
         # sums rather than ``Σ Φ - Φ_i``: the subtraction cancels
         # catastrophically when edge i dominates the sum (one weak edge
@@ -372,7 +364,7 @@ class FastBackend(DecoderBackend):
         extrinsic[:, 0, :] = 0.0
         extrinsic[:, 1:, :] = forward[:, :-1, :]
         extrinsic[:, :-1, :] += backward[:, ::-1, :][:, 1:, :]
-        magnitude = phi_transform(extrinsic, self._phi_pole, out=extrinsic)
+        magnitude = phi_transform(extrinsic, PHI_POLE_F32, out=extrinsic)
         negative = lam < 0
         flip = negative ^ (negative.sum(axis=1, keepdims=True) & 1).astype(bool)
         out = np.where(flip, -magnitude, magnitude)

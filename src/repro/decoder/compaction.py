@@ -67,11 +67,6 @@ class ActiveFrameSet:
         self._done = np.zeros(batch, dtype=bool)
 
     @property
-    def num_active(self) -> int:
-        """Frames still logically iterating (latched frames excluded)."""
-        return int(self._active_ids.size)
-
-    @property
     def all_done(self) -> bool:
         return self._active_ids.size == 0
 
@@ -79,26 +74,14 @@ class ActiveFrameSet:
     def done_mask(self) -> np.ndarray:
         """Full-batch mask of frames whose outputs are already latched.
 
-        The incremental scheduler reads this between iteration slices
-        to deliver requests whose frames have all retired while the
-        rest of the batch keeps decoding.
+        A caller stepping a decode a few iterations at a time reads
+        this between steps to see which frames have retired.
         """
         if self.compact:
             mask = np.ones(self.out_llr.shape[0], dtype=bool)
             mask[self._active_ids] = False
             return mask
         return self._done.copy()
-
-    def active_rows(self, working: np.ndarray) -> np.ndarray:
-        """The logically active rows of a working array.
-
-        In compacted mode the working array *is* the active set; in
-        uncompacted mode this selects the not-yet-retired rows (used for
-        diagnostics such as history, never on the hot path).
-        """
-        if self.compact:
-            return working
-        return working[~self._done]
 
     def retire(
         self,

@@ -11,7 +11,7 @@ variable-to-check messages are formed as ``L_total - Λ`` where ``L_total``
 is the frozen APP of the previous iteration (standard APP-based flooding
 formulation).  The check-node arithmetic goes through the same compiled
 :class:`~repro.decoder.plan.DecodePlan` + backend pair as the layered
-decoder (``DecoderConfig(backend=...)`` / ``REPRO_DECODER_BACKEND``).
+decoder (``fast`` by default, ``reference`` when the config names it).
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ One full iteration processes the ``j`` layers in sequence; for each layer:
 The code structure is compiled once into a
 :class:`~repro.decoder.plan.DecodePlan` (flat int32 gather/scatter
 tables — the software analogue of the chip's shift/address ROMs) and the
-per-layer arithmetic is delegated to a pluggable backend
-(:mod:`repro.decoder.backends`) selected via ``DecoderConfig(backend=...)``
-or the ``REPRO_DECODER_BACKEND`` environment variable.  All backends are
-vectorized across the batch *and* the ``z`` parallel check rows of each
-layer — the same data parallelism the hardware exploits with its ``z``
-SISO cores.
+per-layer arithmetic is delegated to a backend
+(:mod:`repro.decoder.backends`): the fused ``fast`` kernels by default,
+or the ``reference`` oracle when ``DecoderConfig(backend=...)`` names
+it.  Both backends are vectorized across the batch *and* the ``z``
+parallel check rows of each layer — the same data parallelism the
+hardware exploits with its ``z`` SISO cores.
 
 Float and fixed-point datapaths share this module; the difference is the
 dtype, the kernel, and saturating vs clipped arithmetic.
@@ -127,18 +127,6 @@ class LayeredDecoder:
         """Normalize input to a (B, N) working array in datapath units."""
         return prepare_channel_llrs(self.config, self.code.n, channel_llr)
 
-    def _empty_result(self) -> DecodeResult:
-        """A well-formed result for a (0, N) batch."""
-        return DecodeResult.empty(
-            self.code.n,
-            self.code.n_info,
-            history=(
-                {"active_frames": [], "mean_abs_llr": [], "stopped": []}
-                if self.config.track_history
-                else None
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Main decode loop (resumable: begin_decode / step / finish)
     # ------------------------------------------------------------------
@@ -154,7 +142,9 @@ class LayeredDecoder:
         l_active, _ = self._prepare_llrs(channel_llr)
         batch = l_active.shape[0]
         if batch == 0:
-            return DecodeState.empty(self._empty_result())
+            return DecodeState.empty(
+                DecodeResult.empty(self.code.n, self.code.n_info)
+            )
         dtype = self.backend.work_dtype
         l_active = l_active.astype(dtype, copy=False)
         lam_active = np.zeros(
@@ -165,14 +155,7 @@ class LayeredDecoder:
         frames = ActiveFrameSet(
             batch, self.code.n, dtype, compact=config.compact_frames
         )
-        history: dict | None = (
-            {"active_frames": [], "mean_abs_llr": [], "stopped": []}
-            if config.track_history
-            else None
-        )
-        return DecodeState(
-            (l_active, lam_active), monitor, frames, history=history
-        )
+        return DecodeState((l_active, lam_active), monitor, frames)
 
     def _iterate_once(self, state: DecodeState) -> None:
         """One full iteration of layer updates over the working arrays."""
@@ -194,9 +177,7 @@ class LayeredDecoder:
 
     def finish(self, state: DecodeState) -> DecodeResult:
         """The :class:`DecodeResult` of a completed state."""
-        return assemble_result(
-            self.code, self.config, state, history=state.history
-        )
+        return assemble_result(self.code, self.config, state)
 
     def decode(self, channel_llr: np.ndarray) -> DecodeResult:
         """Decode one frame or a batch of frames.

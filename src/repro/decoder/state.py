@@ -1,24 +1,22 @@
-"""Resumable decode state — the incremental-iteration seam.
+"""Resumable decode state: the loop both schedules share.
 
-A one-shot ``decode()`` runs the full iteration loop inside one call.
-Incremental-iteration scheduling (ROADMAP item 5) needs that loop cut
-into slices: run two iterations, retire whatever converged through the
-:class:`~repro.decoder.compaction.ActiveFrameSet` seam, hand the
-survivors back to the dispatcher, resume later.  :class:`DecodeState`
-is the handle that makes the cut possible: it owns everything the loop
-body touches between iterations — the working arrays, the
-early-termination monitor (whose paper rule is *stateful* across
-iterations), the frame set, and the iteration counter.
+A decode is ``begin_decode`` + ``step`` to completion + ``finish``.
+:class:`DecodeState` is the handle between those calls: it owns
+everything the loop body touches between iterations — the working
+arrays, the early-termination monitor (whose paper rule is *stateful*
+across iterations), the frame set, and the iteration counter — so a
+caller can also step it a few iterations at a time and inspect which
+frames have retired (the re-corruption probe of
+``examples/adaptive_serving.py`` steps one iteration at a time).
 
 Both schedules share the same loop discipline (kernel work, monitor
 update gated off the final iteration, forced retirement at the budget,
 compaction rebind, early exit on ``all_done``), so :func:`advance`
 implements it once; the schedules contribute only their kernel phase
-via a callback that mutates ``state.arrays``.  ``decode()`` on both
-decoders is begin + advance-to-completion + :func:`assemble_result`
-over this exact code path, which is what makes sliced decodes
-bit-identical to one-shot ones *by construction* — there is no second
-loop to drift.
+via a callback that mutates ``state.arrays``.  A decode stepped in
+slices therefore runs the exact code path of a one-shot decode and is
+bit-identical to it by construction — there is no second loop to
+drift.
 """
 
 from __future__ import annotations
@@ -50,25 +48,16 @@ class DecodeState:
     """
 
     __slots__ = (
-        "arrays", "monitor", "frames", "history", "iteration", "done",
-        "empty_result",
+        "arrays", "monitor", "frames", "iteration", "done", "empty_result",
     )
 
-    def __init__(self, arrays, monitor, frames, history=None):
+    def __init__(self, arrays, monitor, frames):
         self.arrays = tuple(arrays)
         self.monitor = monitor
         self.frames = frames
-        self.history = history
         self.iteration = 0
         self.done = False
         self.empty_result: DecodeResult | None = None
-
-    @property
-    def batch(self) -> int:
-        """Original (full) batch size of this decode."""
-        if self.frames is None:
-            return 0
-        return int(self.frames.out_llr.shape[0])
 
     @property
     def done_mask(self) -> np.ndarray:
@@ -97,8 +86,8 @@ def advance(
     ``iterate`` performs one iteration of kernel work over
     ``state.arrays`` (mutating or rebinding them); everything around it
     — the monitor update gated off the final iteration, the forced
-    retirement at the budget, history, compaction rebinding and the
-    ``all_done`` early exit — is the single shared loop body.
+    retirement at the budget, compaction rebinding and the ``all_done``
+    early exit — is the single shared loop body.
     """
     if state.done:
         return state
@@ -120,20 +109,10 @@ def advance(
         if iteration == config.max_iterations:
             stop_mask[:] = True
 
-        if state.history is not None:
-            logical = state.frames.active_rows(working)
-            state.history["active_frames"].append(state.frames.num_active)
-            state.history["mean_abs_llr"].append(
-                float(np.mean(np.abs(logical)))
-            )
-
-        before = state.frames.num_active
         state.arrays = state.frames.retire(
             stop_mask, working, iteration, config.max_iterations,
             extra=state.arrays[1:], monitor=state.monitor,
         )
-        if state.history is not None:
-            state.history["stopped"].append(before - state.frames.num_active)
         state.iteration = iteration
         if state.frames.all_done:
             state.done = True
@@ -141,38 +120,8 @@ def advance(
     return state
 
 
-def assemble_rows(code, config: DecoderConfig, frames, start: int, stop: int):
-    """Final result fields for latched batch rows ``[start, stop)``.
-
-    Every field is elementwise along the batch axis, so rows whose
-    frames have retired are final even while other rows still iterate —
-    the incremental scheduler uses this to deliver finished requests
-    out of a batch that is still decoding.
-    """
-    out_llr = frames.out_llr[start:stop]
-    bits = (out_llr < 0).astype(np.uint8)
-    converged = np.asarray(code.is_codeword(bits))
-    if converged.ndim == 0:
-        converged = converged[None]
-    llr_out = (
-        config.qformat.dequantize(out_llr)
-        if config.is_fixed_point
-        # Always report float64 LLRs even when the backend worked in a
-        # narrower dtype.
-        else out_llr.astype(np.float64, copy=False)
-    )
-    return DecodeResult(
-        bits=bits,
-        llr=llr_out,
-        iterations=frames.iterations[start:stop].copy(),
-        converged=converged,
-        et_stopped=frames.et_stopped[start:stop].copy(),
-        n_info=code.n_info,
-    )
-
-
 def assemble_result(
-    code, config: DecoderConfig, state: DecodeState, history=None
+    code, config: DecoderConfig, state: DecodeState
 ) -> DecodeResult:
     """The full :class:`DecodeResult` of a completed state."""
     if not state.done:
@@ -181,15 +130,23 @@ def assemble_result(
         )
     if state.empty_result is not None:
         return state.empty_result
-    result = assemble_rows(code, config, state.frames, 0, state.batch)
-    if history is not None:
-        result = DecodeResult(
-            bits=result.bits,
-            llr=result.llr,
-            iterations=result.iterations,
-            converged=result.converged,
-            et_stopped=result.et_stopped,
-            n_info=result.n_info,
-            history=history,
-        )
-    return result
+    frames = state.frames
+    bits = (frames.out_llr < 0).astype(np.uint8)
+    converged = np.asarray(code.is_codeword(bits))
+    if converged.ndim == 0:
+        converged = converged[None]
+    llr_out = (
+        config.qformat.dequantize(frames.out_llr)
+        if config.is_fixed_point
+        # Always report float64 LLRs even when the backend worked in a
+        # narrower dtype.
+        else frames.out_llr.astype(np.float64, copy=False)
+    )
+    return DecodeResult(
+        bits=bits,
+        llr=llr_out,
+        iterations=frames.iterations,
+        converged=converged,
+        et_stopped=frames.et_stopped,
+        n_info=code.n_info,
+    )

@@ -10,8 +10,6 @@ here:
   reduction — a parallel sweep reproduces the serial one bit for bit;
 - :class:`SweepCheckpoint` persists finished chunks as JSON for
   resume-after-interrupt;
-- :func:`run_sweep` / :class:`SweepResult` — the generic parameter
-  sweep (runner over a value grid), fanned out via :func:`map_ordered`;
 - :class:`WorkerPool` is the persistent named *supervised* thread pool
   the decode service (:mod:`repro.service`) dispatches batches onto —
   it detects crashed and hung workers, fails their futures with a typed
@@ -39,11 +37,9 @@ from repro.runtime.faults import FAULT_SITES, FaultPlan, WorkerKilled
 from repro.runtime.parallel import (
     ProcessWorkerPool,
     WorkerPool,
-    map_ordered,
     shared_process_pool,
     shutdown_shared_pools,
 )
-from repro.runtime.sweep import SweepResult, run_sweep
 
 __all__ = [
     "FAULT_SITES",
@@ -52,17 +48,14 @@ __all__ = [
     "SCHEDULES",
     "SweepCheckpoint",
     "SweepEngine",
-    "SweepResult",
     "WorkerKilled",
     "WorkerPool",
     "chunk_key",
     "chunk_rng",
     "chunk_seed_sequence",
     "decode_chunk",
-    "map_ordered",
     "plan_chunks",
     "point_key",
-    "run_sweep",
     "shared_process_pool",
     "shutdown_shared_pools",
 ]

@@ -1,13 +1,12 @@
-"""Small ordered-parallelism helpers shared by the analysis layer.
+"""Supervised worker pools for the decode service and the sweep engine.
 
-The heavy Monte-Carlo machinery lives in
-:mod:`repro.runtime.engine`; this module covers the lighter cases:
-fanning arbitrary runner callables (closures included) over a value
-list (:func:`map_ordered`), and a persistent named *supervised* thread
-pool for long-lived dispatchers (:class:`WorkerPool`, the execution
-substrate of :class:`~repro.service.DecodeService`).  Threads rather
-than processes: numpy kernels release the GIL, so decode-bound runners
-overlap, and closures need no pickling.
+The Monte-Carlo machinery lives in :mod:`repro.runtime.engine`; this
+module provides the executors under it and under the decode service.
+:class:`WorkerPool` is a persistent named *supervised* thread pool for
+long-lived dispatchers (the execution substrate of
+:class:`~repro.service.DecodeService`).  Threads rather than processes:
+numpy kernels release the GIL, so decode-bound work overlaps, and
+closures need no pickling.
 
 For workloads where the GIL *does* bite — pure-Python schedule
 bookkeeping between kernel calls, many small batches — the module also
@@ -30,8 +29,8 @@ import threading
 import time
 import warnings
 from collections import deque
-from collections.abc import Callable, Iterable
-from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
@@ -42,36 +41,6 @@ from repro.runtime.procworker import (
     worker_main,
     write_arrays,
 )
-
-
-def map_ordered(
-    fn: Callable,
-    values: Iterable,
-    workers: int = 0,
-) -> list:
-    """Apply ``fn`` to every value, preserving input order in the output.
-
-    Parameters
-    ----------
-    fn:
-        Any callable; with ``workers >= 2`` it must be thread-safe.
-        Sharing one decoder across runners is supported: a
-        :class:`~repro.decoder.plan.DecodePlan`'s working buffers are
-        thread-local, so concurrent decodes through the same compiled
-        plan do not interfere.
-    values:
-        Input values (consumed eagerly).
-    workers:
-        ``0``/``1`` is a plain loop; ``>= 2`` uses a thread pool of that
-        size.  Output order equals input order either way, and an
-        exception from any call propagates (after all submitted calls
-        finish or fail).
-    """
-    items = list(values)
-    if workers < 2 or len(items) < 2:
-        return [fn(value) for value in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -101,10 +70,9 @@ class _Slot:
 class WorkerPool:
     """A persistent, named, *supervised* thread pool with futures.
 
-    :func:`map_ordered` spins a pool up and down around one value list;
-    a serving loop instead needs an executor that outlives any single
-    batch — and, for a serving tier that must never hang a request,
-    one that survives its own workers misbehaving.  Beyond the executor
+    A serving loop needs an executor that outlives any single batch —
+    and, for a serving tier that must never hang a request, one that
+    survives its own workers misbehaving.  Beyond the executor
     basics (``submit`` after :meth:`shutdown` raises ``RuntimeError``;
     :meth:`shutdown` drains by default; threads carry a recognizable
     name prefix), the pool runs a supervisor thread that:
@@ -1026,8 +994,7 @@ _SHARED_POOLS_LOCK = threading.Lock()
 def shared_process_pool(workers: int, cache_size: int = 16) -> ProcessWorkerPool:
     """The interpreter-wide persistent pool for ``workers`` processes.
 
-    Fixes the sweep regression where every ``run_sweep`` call paid pool
-    startup and child imports: the first caller creates the pool, every
+    A sweep must not pay pool startup and child imports on every call: the first caller creates the pool, every
     later caller (and every later sweep) reuses it, and an atexit hook
     tears all shared pools down — unlinking their segments — at
     interpreter exit.  Callers must *not* shut the returned pool down;

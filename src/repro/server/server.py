@@ -79,10 +79,9 @@ class DecodeServer:
     service_kwargs:
         Forwarded to :class:`DecodeService` when ``service`` is None —
         ``queue_limit=...``, ``overload_policy=...``, ``retry=...``,
-        ``faults=...``, ``policy=...`` (adaptive decode policies),
-        ``iteration_slice=...`` (incremental scheduling) and friends
-        all apply; a service built here also inherits the service-tier
-        ``"paper-or-syndrome"`` early-termination default.
+        ``faults=...``, ``policy=...`` (adaptive decode policies) and
+        friends all apply; a service built here also inherits the
+        service-tier ``"paper-or-syndrome"`` early-termination default.
     """
 
     def __init__(

@@ -30,13 +30,13 @@ and ``tests/test_service_faults.py`` for the chaos matrix.  The
 network-facing front door lives in :mod:`repro.server`.
 """
 
-from repro.service.cache import CacheEntry, PlanCache
-from repro.service.metrics import ServiceMetrics, prometheus_text
-from repro.service.policies import (
+from repro.service.admission import (
     OVERLOAD_POLICIES,
     AdmissionPolicy,
     RetryPolicy,
 )
+from repro.service.cache import CacheEntry, PlanCache
+from repro.service.metrics import ServiceMetrics, prometheus_text
 from repro.service.policy import (
     DEFAULT_RULES,
     SERVICE_EARLY_TERMINATION,

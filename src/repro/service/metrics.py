@@ -61,14 +61,11 @@ class ServiceMetrics:
         self.mode_switches = 0
         self.queue_depth_frames = 0
         self.peak_queue_depth_frames = 0
-        # -- power-aware serving + incremental scheduling (PR 9) --------
+        # -- power-aware serving ----------------------------------------
         self.energy_pj_total = 0.0
         self.info_bits_decoded = 0
         self.iterations_executed = 0
         self.iteration_budget_total = 0
-        self.decode_slices = 0
-        self.continuations_requeued = 0
-        self.requests_early_delivered = 0
         self._energy_frames = 0
         #: rule name -> [selections, frames, iterations, budget]
         self._policy_rules: dict[str, list] = {}
@@ -160,7 +157,7 @@ class ServiceMetrics:
         with self._lock:
             self.queue_depth_frames -= frames
 
-    # -- power-aware serving + incremental scheduling (PR 9) -----------
+    # -- power-aware serving --------------------------------------------
     def record_decode_outcome(
         self,
         frames: int,
@@ -191,18 +188,6 @@ class ServiceMetrics:
                 stats[1] += frames
                 stats[2] += iterations
                 stats[3] += budget
-
-    def record_slice(self, requeued: bool) -> None:
-        """One iteration slice ran; ``requeued`` if survivors went back."""
-        with self._lock:
-            self.decode_slices += 1
-            if requeued:
-                self.continuations_requeued += 1
-
-    def record_early_delivery(self) -> None:
-        """A request resolved before its batch finished decoding."""
-        with self._lock:
-            self.requests_early_delivered += 1
 
     def policy_snapshot(self) -> dict:
         """Per-rule selection counts and measured iteration savings."""
@@ -297,9 +282,6 @@ class ServiceMetrics:
                     if self._energy_frames
                     else 0.0
                 ),
-                "decode_slices": self.decode_slices,
-                "continuations_requeued": self.continuations_requeued,
-                "requests_early_delivered": self.requests_early_delivered,
             }
 
     def prometheus_text(self, extra: dict | None = None, prefix: str = "repro") -> str:
@@ -332,8 +314,7 @@ _COUNTER_KEYS = frozenset({
     # ratios (energy_per_bit_pj, avg_iterations, iteration_savings_pct)
     # are gauges and intentionally absent here.
     "energy_pj_total", "info_bits_decoded", "iterations_executed",
-    "iteration_budget_total", "decode_slices", "continuations_requeued",
-    "requests_early_delivered", "selections", "frames_total",
+    "iteration_budget_total", "selections", "frames_total",
     "iterations_total", "budget_total",
 })
 

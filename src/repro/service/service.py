@@ -45,7 +45,7 @@ robustness contract (PR 6):
   its future is guaranteed drain delivery.
 - **Bounded admission.**  ``queue_limit`` caps queued frames with an
   explicit ``overload_policy`` (``reject`` / ``block`` / ``shed-oldest``,
-  see :class:`~repro.service.policies.AdmissionPolicy`) and
+  see :class:`~repro.service.admission.AdmissionPolicy`) and
   ``client_quota`` caps any one client's outstanding requests.
 - **Transient failures retry.**  A :class:`~repro.service.RetryPolicy`
   replays retryable decode failures with exponential backoff, splitting
@@ -81,7 +81,6 @@ from repro.channel.snr_estimate import estimate_snr
 from repro.codes.qc import QCLDPCCode
 from repro.codes.registry import describe_mode, get_code
 from repro.decoder.api import DecodeResult, DecoderConfig
-from repro.decoder.state import assemble_rows
 from repro.errors import (
     DeadlineExceeded,
     ServiceClosedError,
@@ -90,9 +89,9 @@ from repro.errors import (
 from repro.power.model import PowerModel
 from repro.runtime.parallel import ProcessWorkerPool, WorkerPool
 from repro.runtime.procworker import decode_out_spec
+from repro.service.admission import AdmissionPolicy, RetryPolicy
 from repro.service.cache import PlanCache
 from repro.service.metrics import ServiceMetrics, prometheus_text
-from repro.service.policies import AdmissionPolicy, RetryPolicy
 from repro.service.policy import DecodePolicy, service_default_config
 
 
@@ -114,28 +113,6 @@ class _Request:
     resolved: bool = False    # outcome claimed (guarded by _delivery_lock)
     rule: "str | None" = None  # decode-policy rule that picked the config
     budget: int = 0  # per-frame iteration budget of the pre-policy config
-
-
-@dataclass(eq=False)
-class _Continuation:
-    """An in-flight sliced batch decode awaiting its next iteration slice.
-
-    Created by :meth:`DecodeService._run_batch` under incremental
-    scheduling (``iteration_slice=``): the decode's resumable
-    :class:`~repro.decoder.DecodeState` plus the request bookkeeping
-    needed to deliver finished rows early and to restart from the
-    channel LLRs if the worker running a slice is lost.
-    """
-
-    decoder: object
-    code: QCLDPCCode
-    config: DecoderConfig
-    state: object
-    requests: list
-    offsets: tuple
-    delivered: list
-    attempt: int
-    requeued_at: float = 0.0  # clock when it last joined the dispatch line
 
 
 @dataclass
@@ -221,13 +198,13 @@ class DecodeService:
         cache hit.
     queue_limit / overload_policy / client_quota:
         Admission control — see
-        :class:`~repro.service.policies.AdmissionPolicy`.  Defaults
+        :class:`~repro.service.admission.AdmissionPolicy`.  Defaults
         keep the pre-hardening behaviour (unbounded queue, no quotas).
     default_timeout:
         Per-request deadline (seconds) applied when ``submit`` is not
         given an explicit ``timeout``.  ``None`` = no deadline.
     retry:
-        A :class:`~repro.service.policies.RetryPolicy` for transient
+        A :class:`~repro.service.admission.RetryPolicy` for transient
         decode failures (``None`` disables retries).
     hang_timeout:
         Worker supervision bound, seconds: a batch decode running
@@ -264,16 +241,6 @@ class DecodeService:
         *selected* config, so the policy also shapes batching.
         Selection counts and measured iteration savings appear under
         ``metrics_snapshot()["policy"]``.
-    iteration_slice:
-        Incremental-iteration scheduling (thread executor only): decode
-        each batch in slices of this many iterations.  After a slice,
-        requests whose frames have all retired resolve immediately and
-        the surviving frames requeue behind freshly arrived traffic —
-        long low-SNR decodes can no longer convoy short ones on the
-        same worker.  Results are bit-identical to one-shot decodes
-        (same loop, cut differently; pinned by
-        ``tests/test_backend_properties.py``).  ``None`` (default)
-        decodes each batch in one shot.
 
     Use as a context manager, or call :meth:`close` — it drains pending
     requests (every submitted future resolves) before shutting the
@@ -298,7 +265,6 @@ class DecodeService:
         faults=None,
         executor: str = "thread",
         policy: "DecodePolicy | None" = None,
-        iteration_slice: "int | None" = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -310,20 +276,8 @@ class DecodeService:
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {executor!r}"
             )
-        if iteration_slice is not None:
-            if iteration_slice < 1:
-                raise ValueError("iteration_slice must be >= 1 (or None)")
-            if executor == "process":
-                raise ValueError(
-                    "iteration_slice requires the thread executor: process "
-                    "workers run one-shot decodes in their own address "
-                    "space, so there is no resumable state to requeue"
-                )
         self.executor = executor
         self.decode_policy = policy
-        self.iteration_slice = (
-            int(iteration_slice) if iteration_slice is not None else None
-        )
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
         self.policy = AdmissionPolicy(
@@ -366,10 +320,10 @@ class DecodeService:
         #: admitted-but-unresolved frames — queued *or* decoding
         #: (admission-control view; guarded by _cond).
         self._admitted_frames = 0
-        #: pool submissions not yet finished: dispatcher batches,
-        #: retries and continuation slices (guarded by _cond).  The
-        #: dispatcher hands out work only while this is below
-        #: ``workers``; every submission releases it exactly once.
+        #: pool submissions not yet finished: dispatcher batches and
+        #: retries (guarded by _cond).  The dispatcher hands out work
+        #: only while this is below ``workers``; every submission
+        #: releases it exactly once.
         self._in_flight = 0
         #: min-heap of (deadline, tiebreak, request) for every admitted
         #: request with a timeout; the dispatcher reaps it (guarded by
@@ -402,10 +356,6 @@ class DecodeService:
         self._retry_timers: dict = {}
         self._retry_lock = threading.Lock()
         self._last_batch_key: tuple | None = None
-        #: sliced decodes awaiting their next iteration slice, in
-        #: requeue order (guarded by _cond); survivors queue behind
-        #: every batch that fell due before them.
-        self._continuations: deque = deque()
         #: mode key -> (pJ per frame-iteration, n_info) for the energy
         #: accounting; benign to race (idempotent rebuild under the GIL).
         self._energy_profiles: dict = {}
@@ -477,18 +427,9 @@ class DecodeService:
             Under ``block``: the deadline expired while waiting for
             queue space (the request was never admitted).
         ValueError
-            LLR shape mismatch, non-positive ``timeout``, or
-            ``track_history=True`` (history is whole-batch diagnostic
-            state that cannot be attributed to one request's slice —
-            decode directly for diagnostics).
+            LLR shape mismatch or non-positive ``timeout``.
         """
         config = config if config is not None else self.default_config
-        if config.track_history:
-            raise ValueError(
-                "track_history configs are not servable: per-iteration "
-                "history is whole-batch state and cannot be sliced per "
-                "request; use LayeredDecoder directly for diagnostics"
-            )
         timeout = timeout if timeout is not None else self.default_timeout
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
@@ -704,17 +645,17 @@ class DecodeService:
 
         ``batches_in_flight`` counts pool submissions not yet finished
         (at most ``workers``, plus retries); it reads 0 on an idle or
-        closed service.  With a decode policy or incremental
-        scheduling configured, per-rule selection counts and measured
-        iteration savings nest under ``"policy"``; the section is
-        absent otherwise, so plain deployments export no dead zeros.
+        closed service.  With a decode policy configured, per-rule
+        selection counts and measured iteration savings nest under
+        ``"policy"``; the section is absent otherwise, so plain
+        deployments export no dead zeros.
         """
         snapshot = self.metrics.snapshot()
         with self._cond:
             snapshot["batches_in_flight"] = self._in_flight
         snapshot["plan_cache"] = self.cache.stats()
         snapshot["worker_pool"] = self._pool.stats()
-        if self.decode_policy is not None or self.iteration_slice is not None:
+        if self.decode_policy is not None:
             snapshot["policy"] = self.metrics.policy_snapshot()
         return snapshot
 
@@ -811,18 +752,13 @@ class DecodeService:
             flush_at = min(flush_at, bucket.min_deadline - self.max_wait)
         return flush_at
 
-    def _take_due(
-        self, now: float, batches: list, continuations: list
-    ) -> "float | None":
-        """Fill the free worker slots with due work (lock held).
+    def _take_due(self, now: float, batches: list) -> "float | None":
+        """Fill the free worker slots with due batches (lock held).
 
-        Due groups leave earliest ``flush_at`` first.  A continuation
-        ranks by the time it was requeued, as if that were its
-        ``flush_at``: behind every group whose ``flush_at`` came
-        before, ahead of any whose comes later, so fresh traffic can
-        delay it but never starve it.  Returns the seconds until the
-        next group falls due while a slot is still free, else ``None``:
-        a finishing batch wakes the dispatcher itself.
+        Due groups leave earliest ``flush_at`` first.  Returns the
+        seconds until the next group falls due while a slot is still
+        free, else ``None``: a finishing batch wakes the dispatcher
+        itself.
         """
         while self._in_flight < self._pool.workers:
             due_key = due_at = None
@@ -832,10 +768,7 @@ class DecodeService:
                     due_at is None or flush_at < due_at
                 ):
                     due_key, due_at = key, flush_at
-            waiting = self._continuations
-            if waiting and (due_at is None or waiting[0].requeued_at < due_at):
-                continuations.append(waiting.popleft())
-            elif due_key is not None:
+            if due_key is not None:
                 full = self._buckets[due_key].frames >= self.max_batch
                 taken = self._take_batch(due_key)
                 batches.append((due_key, taken, "size" if full else "deadline"))
@@ -851,7 +784,6 @@ class DecodeService:
         while True:
             batches: list[tuple[tuple, list, str]] = []
             expired: list[_Request] = []
-            continuations: list[_Continuation] = []
             with self._cond:
                 while True:
                     now = self._clock()
@@ -878,25 +810,19 @@ class DecodeService:
                         for key in list(self._buckets):
                             while taken := self._take_batch(key):
                                 batches.append((key, taken, "drain"))
-                        continuations.extend(self._continuations)
-                        self._continuations.clear()
-                        self._in_flight += len(batches) + len(continuations)
+                        self._in_flight += len(batches)
                     else:
-                        wake = self._take_due(now, batches, continuations)
+                        wake = self._take_due(now, batches)
                         if wake is not None and (
                             nearest is None or wake < nearest
                         ):
                             nearest = wake
-                    if batches or expired or continuations:
+                    if batches or expired:
                         # Frames left the queue: blocked submitters may
                         # now fit.
                         self._cond.notify_all()
                         break
                     if draining:
-                        # Nothing queued and no sliced decode awaiting
-                        # resumption: workers still mid-slice finish
-                        # inline (they observe _closing at requeue
-                        # time), so exiting here strands nothing.
                         return
                     self._cond.wait(timeout=nearest)
             for request in expired:
@@ -919,10 +845,6 @@ class DecodeService:
                     self.metrics.record_mode_switch()
                 self._last_batch_key = key
                 self._dispatch_batch(requests, attempt=1)
-            # A drain queues all of these in the pool at once: fresh
-            # batches first, so sliced survivors queue behind them.
-            for cont in continuations:
-                self._dispatch_continuation(cont)
 
     def _release_slot(self) -> None:
         """A pool submission finished, or never reached the pool."""
@@ -1179,139 +1101,21 @@ class DecodeService:
                 merged = first.llr
             else:
                 merged = np.concatenate([r.llr for r in live], axis=0)
-            decoder = entry.decoder
-            cont = None
-            if self.iteration_slice is not None and merged.shape[0] > 0:
-                # Incremental scheduling: build the resumable state and
-                # drive the first slice; empty batches fall through to
-                # the one-shot path.
-                offsets = []
-                offset = 0
-                for request in live:
-                    offsets.append(offset)
-                    offset += request.frames
-                cont = _Continuation(
-                    decoder=decoder,
-                    code=entry.code,
-                    config=decoder.config,
-                    state=decoder.begin_decode(merged),
-                    requests=live,
-                    offsets=tuple(offsets),
-                    delivered=[False] * len(live),
-                    attempt=attempt,
+            result = entry.decoder.decode(merged)
+            offset = 0
+            outcomes = []
+            for request in live:
+                outcomes.append(
+                    ("result", result.slice(offset, offset + request.frames))
                 )
-            else:
-                result = decoder.decode(merged)
-                offset = 0
-                outcomes = []
-                for request in live:
-                    outcomes.append(
-                        ("result",
-                         result.slice(offset, offset + request.frames))
-                    )
-                    offset += request.frames
+                offset += request.frames
         except BaseException as exc:  # delivered or retried, never swallowed
             pending = [r for r in live if not r.resolved]
             if pending:
                 self._retry_or_fail(pending, attempt, exc)
             return
-        if cont is not None:
-            self._advance_continuation(cont)
-            return
         for request, (kind, payload) in zip(live, outcomes):
             self._deliver(request, kind, payload)
-
-    def _advance_continuation(self, cont: _Continuation) -> None:
-        """Run one iteration slice; deliver finished rows; requeue or end.
-
-        Worker-side.  A decode error goes through the standard retry
-        adjudication: a retry restarts the pending requests from their
-        channel LLRs, which is bit-identical per frame (every kernel is
-        elementwise along the batch axis), so losing the sliced state
-        costs work, never correctness.
-        """
-        try:
-            cont.decoder.step(cont.state, self.iteration_slice)
-        except BaseException as exc:  # delivered or retried, never swallowed
-            pending = [r for r in cont.requests if not r.resolved]
-            if pending:
-                self._retry_or_fail(pending, cont.attempt, exc)
-            return
-        self._deliver_finished_rows(cont)
-        if cont.state.done:
-            self.metrics.record_slice(requeued=False)
-            return
-        requeued = False
-        with self._cond:
-            if not self._closing:
-                cont.requeued_at = self._clock()
-                self._continuations.append(cont)
-                self._cond.notify_all()
-                requeued = True
-        self.metrics.record_slice(requeued=requeued)
-        if requeued:
-            return
-        # Closing: the dispatcher is draining (or gone) and will not
-        # resume us — finish the decode inline so the close() drain
-        # cannot strand in-flight sliced state.
-        while not cont.state.done:
-            try:
-                cont.decoder.step(cont.state, self.iteration_slice)
-            except BaseException as exc:
-                pending = [r for r in cont.requests if not r.resolved]
-                if pending:
-                    self._retry_or_fail(pending, cont.attempt, exc)
-                return
-            self.metrics.record_slice(requeued=False)
-            self._deliver_finished_rows(cont)
-
-    def _deliver_finished_rows(self, cont: _Continuation) -> None:
-        """Resolve every request whose batch rows have all retired.
-
-        ``assemble_rows`` is final for retired rows even while the rest
-        of the batch iterates (every result field is elementwise), so a
-        short decode leaves its batch as soon as its own frames stop.
-        """
-        done_mask = cont.state.done_mask
-        final = cont.state.done
-        for i, request in enumerate(cont.requests):
-            if cont.delivered[i]:
-                continue
-            start = cont.offsets[i]
-            stop = start + request.frames
-            if not (final or bool(done_mask[start:stop].all())):
-                continue
-            cont.delivered[i] = True
-            if not final:
-                self.metrics.record_early_delivery()
-            payload = assemble_rows(
-                cont.code, cont.config, cont.state.frames, start, stop
-            )
-            self._deliver(request, "result", payload)
-
-    def _dispatch_continuation(self, cont: _Continuation) -> None:
-        """Resume a sliced decode on the pool (dispatcher side)."""
-        if all(r.resolved for r in cont.requests):
-            # Every awaiter timed out or was shed: drop the state.
-            self._release_slot()
-            return
-        try:
-            batch_future = self._pool.submit(self._advance_continuation, cont)
-        except RuntimeError:
-            self._release_slot()
-            for request in cont.requests:
-                self._deliver(
-                    request,
-                    "closed",
-                    ServiceClosedError(
-                        "service closed while this request's sliced decode "
-                        "awaited its next iteration slice"
-                    ),
-                )
-            return
-        batch_future.add_done_callback(
-            lambda f, c=cont: self._on_batch_done(f, c.requests, c.attempt)
-        )
 
     def _energy_profile(self, mode) -> tuple:
         """``(pJ per frame-iteration, n_info)`` for one mode, cached.

@@ -1,7 +1,6 @@
 """Tests for the Monte-Carlo analysis harness.
 
-BER/FER sweeps run through :class:`repro.runtime.SweepEngine`; the
-generic parameter sweep is :func:`repro.runtime.run_sweep`.
+BER/FER sweeps run through :class:`repro.runtime.SweepEngine`.
 """
 
 import pytest
@@ -10,7 +9,7 @@ from repro.analysis.ber import SnrPoint
 from repro.analysis.iterations import et_power_curve, profile_iterations
 from repro.analysis.reporting import ascii_curve, ber_table, save_exhibit
 from repro.arch.datapath import PAPER_CHIP
-from repro.runtime import SweepEngine, run_sweep
+from repro.runtime import SweepEngine
 
 
 class TestSweepEngine:
@@ -66,21 +65,6 @@ class TestIterationProfile:
         )
         rows = profile.as_rows()
         assert len(rows) == 1 and len(rows[0]) == 4
-
-
-class TestSweep:
-    def test_collects_rows(self):
-        result = run_sweep("x", [1, 2, 3], lambda x: {"double": 2 * x})
-        assert result.column("double") == [2, 4, 6]
-
-    def test_table_rendering(self):
-        result = run_sweep("x", [1, 2], lambda x: {"y": x * x})
-        table = result.to_table(["y"], title="squares")
-        assert "squares" in table.render()
-
-    def test_non_dict_runner_raises(self):
-        with pytest.raises(TypeError):
-            run_sweep("x", [1], lambda x: x)
 
 
 class TestReporting:

@@ -13,8 +13,8 @@ locks down the contracts the backend/compaction refactors rely on:
    flags.
 3. **Float backends agree where they promise to.**  Non-(BP sum-sub)
    kernels are shared code, so they match exactly; the fast Φ-domain
-   BP kernel guarantees hard-decision and iteration agreement (checked
-   with ``fast_exact=True``, its float64 mode).
+   BP kernel, as shipped in float32, guarantees hard-decision and
+   iteration agreement.
 
 The matrix derives from one master seed (``REPRO_PROPERTY_SEED``,
 pinned in CI) so a failure reproduces exactly: re-run with the seed the
@@ -293,11 +293,11 @@ def test_float_cross_backend_agreement(case):
     for backend in BACKENDS:
         if backend == "reference":
             continue
+        other = _decode(case, backend=backend)
         if _is_phi_case(case):
-            # The fast float BP sum-sub path is a different (Φ-domain)
-            # evaluation of the same math; its contract is decision and
-            # iteration agreement, checked in float64 mode.
-            other = _decode(case, backend=backend, fast_exact=True)
+            # The fast float BP sum-sub path is a different (float32,
+            # Φ-domain) evaluation of the same math; its contract is
+            # decision and iteration agreement.
             context = f"{case.label} reference vs {backend} (phi)"
             assert np.array_equal(reference.bits, other.bits), (
                 f"{context}: hard decisions differ"
@@ -307,7 +307,6 @@ def test_float_cross_backend_agreement(case):
             )
         else:
             # Every other float kernel is literally shared code.
-            other = _decode(case, backend=backend)
             _assert_identical(
                 reference, other, f"{case.label} reference vs {backend}"
             )
@@ -493,8 +492,9 @@ def test_process_sweep_bit_identity(schedule):
 # ---------------------------------------------------------------------------
 # Property 7: incremental-iteration slicing is invisible
 # ---------------------------------------------------------------------------
-# The incremental scheduler (DecodeService(iteration_slice=...)) cuts the
-# decode loop into begin_decode / step / finish slices.  Because both
+# decode() runs on begin_decode / step / finish, and a caller may step a
+# decode a few iterations at a time (the re-corruption probe of
+# examples/adaptive_serving.py steps one at a time).  Because both
 # schedules share the exact loop body (repro.decoder.state.advance), a
 # sliced decode must be bit-identical to the one-shot decode — outputs,
 # iteration counts and ET flags included — for every backend × schedule ×

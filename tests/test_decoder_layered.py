@@ -142,14 +142,6 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             LayeredDecoder(small_code).decode(np.zeros(17))
 
-    def test_history_tracking(self, small_code, small_encoder):
-        info, _, llr = make_noisy_llrs(small_code, small_encoder, 2.0, 5, 83)
-        config = DecoderConfig(track_history=True, early_termination="none",
-                               max_iterations=4)
-        result = LayeredDecoder(small_code, config).decode(llr)
-        assert result.history is not None
-        assert len(result.history["active_frames"]) == 4
-
 
 class TestBatchConsistency:
     def test_batch_equals_single(self, small_code, small_encoder):

@@ -162,10 +162,8 @@ class TestConfigWireFormat:
             app_extra_bits=3,
             siso_guard_bits=1,
             app_clip=float("inf"),
-            track_history=True,
             compact_frames=False,
-            backend="fast",
-            fast_exact=True,
+            backend="reference",
         )
         wire = json.dumps(config.to_dict())  # must be strict-JSON safe
         restored = DecoderConfig.from_dict(json.loads(wire))
@@ -190,9 +188,17 @@ class TestConfigWireFormat:
         restored = DecoderConfig.from_dict({"max_iterations": 5})
         assert restored == DecoderConfig(max_iterations=5)
 
-    # A shard count is refused, not decoded as if it were absent: there
-    # is one decode path.
-    @pytest.mark.parametrize("data", [{"max_iters": 5}, {"shards": 2}])
+    # Deleted knobs are refused, not decoded as if they were absent:
+    # there is one decode path.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"max_iters": 5},
+            {"shards": 2},
+            {"fast_exact": True},
+            {"track_history": True},
+        ],
+    )
     def test_unknown_field_rejected(self, data):
         with pytest.raises(DecoderConfigError, match=next(iter(data))):
             DecoderConfig.from_dict(data)

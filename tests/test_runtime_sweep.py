@@ -22,7 +22,6 @@ from repro.runtime import (
     chunk_key,
     chunk_rng,
     chunk_seed_sequence,
-    map_ordered,
     plan_chunks,
     point_key,
 )
@@ -225,6 +224,22 @@ class TestCheckpoint:
                 EBN0, **BUDGET
             )
 
+    def test_checkpoint_of_another_config_field_set_raises(
+        self, small_code, tmp_path
+    ):
+        # A checkpoint written while DecoderConfig carried a field it has
+        # since lost (here the deleted ``fast_exact``, last in its repr)
+        # is refused, not resumed as if the sweeps were the same.
+        path = tmp_path / "sweep.json"
+        self._run(small_code, path)
+        data = json.loads(path.read_text())
+        config = data["fingerprint"]["config"]
+        assert config.startswith("DecoderConfig(") and config.endswith(")")
+        data["fingerprint"]["config"] = config[:-1] + ", fast_exact=False)"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SimulationError, match="different sweep"):
+            self._run(small_code, path)
+
     def test_corrupt_checkpoint_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -311,30 +326,6 @@ class TestEngineValidation:
             engine.run([1.0], batch_size=0)
         with pytest.raises(SimulationError):
             SweepEngine(small_code, chunk_frames=0)
-
-
-class TestMapOrdered:
-    def test_preserves_order_serial_and_parallel(self):
-        values = list(range(20))
-        assert map_ordered(lambda x: x * x, values) == [x * x for x in values]
-        assert map_ordered(lambda x: x * x, values, workers=4) == [
-            x * x for x in values
-        ]
-
-    def test_exception_propagates(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("x=3")
-            return x
-
-        with pytest.raises(ValueError):
-            map_ordered(boom, range(6), workers=3)
-
-    def test_runtime_run_sweep_workers(self):
-        from repro.runtime import run_sweep
-
-        result = run_sweep("x", [1, 2, 3, 4], lambda x: {"y": x * x}, workers=3)
-        assert result.column("y") == [1, 4, 9, 16]
 
 
 class TestExecutorGate:
@@ -453,7 +444,7 @@ class TestExecutorGate:
 
     def test_two_sweeps_spawn_no_new_processes(self, small_code):
         # THE regression this PR fixes: the seed engine built a fresh
-        # ProcessPoolExecutor per run_sweep call, so every sweep paid
+        # ProcessPoolExecutor per sweep, so every sweep paid
         # worker startup + imports and lost to serial.
         with self._pool() as pool:
             engine = SweepEngine(

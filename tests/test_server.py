@@ -190,6 +190,8 @@ class TestRequestParsing:
         [
             ({"not_a_config_field": 1}, "unknown"),
             ({"shards": 2}, "unknown"),
+            ({"fast_exact": True}, "unknown"),
+            ({"track_history": True}, "unknown"),
             ({"max_iterations": "10"}, "max_iterations"),
             ({"max_iterations": 2.5}, "max_iterations"),
             ({"max_iterations": True}, "max_iterations"),
@@ -387,12 +389,13 @@ class TestDecodeServer:
         direct = LayeredDecoder(get_code(WIMAX), CONFIG).decode(llr)
         assert np.array_equal(_serve(scenario).bits, direct.bits)
 
-    def test_config_with_shards_gets_typed_config_error(self):
+    @pytest.mark.parametrize("field", ["shards", "fast_exact", "track_history"])
+    def test_config_with_deleted_field_gets_typed_config_error(self, field):
         llr = _llr(1, seed=31)
         header = {
             "id": 7,
             "mode": WIMAX,
-            "config": {**CONFIG.to_dict(), "shards": 2},
+            "config": {**CONFIG.to_dict(), field: 2},
             "dtype": llr.dtype.str,
             "shape": list(llr.shape),
             "timeout": None,
@@ -414,7 +417,7 @@ class TestDecodeServer:
         request_id, exc = _serve(scenario)
         assert request_id == 7
         assert isinstance(exc, DecoderConfigError)
-        assert "shards" in str(exc)
+        assert field in str(exc)
 
     def test_deadline_crosses_the_wire_as_deadline_exceeded(self):
         service = DecodeService(

@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.fixedpoint import QFormat
 from repro.runtime import FaultPlan, WorkerPool
 from repro.service import DecodeService, PlanCache
+from tests.conftest import make_noisy_llrs
 
 WIMAX = "802.16e:1/2:z24"
 WIFI = "802.11n:1/2:z27"
@@ -108,7 +109,7 @@ class TestConfigCacheKey:
         assert as_list.to_dict()["layer_order"] == [1, 0]
         # Pinned: the key is the one a list canonicalized to before.
         assert dict(as_list.cache_key())["layer_order"] == (1, 0)
-        assert as_list.stable_hash() == "6a07eb3f8304f634"
+        assert as_list.stable_hash() == "7b6c01625db72910"
 
     def test_stable_hash_is_hex_and_process_stable(self):
         digest = FIXED_CONFIG.stable_hash()
@@ -134,12 +135,10 @@ class TestResultSlice:
         _assert_identical(part, direct, "slice vs direct")
         assert part.n_info == merged.n_info
 
-    def test_slice_copies_and_drops_history(self, small_code):
-        config = FLOAT_CONFIG.replace(track_history=True)
-        decoder = LayeredDecoder(small_code, config)
+    def test_slice_copies(self, small_code):
+        decoder = LayeredDecoder(small_code, FLOAT_CONFIG)
         merged = decoder.decode(_llr(WIMAX, 3, seed=2))
         part = merged.slice(0, 2)
-        assert part.history is None
         # A copy, not a view: a client holding a one-frame slice must
         # not pin the whole merged batch's arrays in memory.
         assert not np.shares_memory(part.bits, merged.bits)
@@ -469,14 +468,46 @@ class TestDecodeService:
         assert svc.metrics_snapshot()["flushes_drain"] >= 1
         assert svc.metrics_snapshot()["queue_depth_frames"] == 0
 
-    def test_track_history_rejected_at_submit(self):
-        with DecodeService(default_config=FLOAT_CONFIG) as svc:
-            with pytest.raises(ValueError, match="track_history"):
-                svc.submit(
-                    WIMAX,
-                    _llr(WIMAX, 1, seed=35),
-                    FLOAT_CONFIG.replace(track_history=True),
-                )
+    def test_close_resolves_in_flight_batches(self, small_code):
+        # close() right after the submits: most batches are already on
+        # the workers, not pending.  Each still resolves, exactly as a
+        # direct decode.
+        config = FLOAT_CONFIG.replace(max_iterations=10)
+        payloads = [_llr(WIMAX, 4, seed=50 + i) for i in range(6)]
+        svc = DecodeService(workers=2, max_wait=0.001, default_config=config)
+        futures = [svc.submit(WIMAX, llr) for llr in payloads]
+        svc.close()
+        direct = LayeredDecoder(small_code, config)
+        for i, (future, llr) in enumerate(zip(futures, payloads)):
+            _assert_identical(
+                future.result(timeout=60), direct.decode(llr), f"req {i}"
+            )
+
+    def test_mixed_difficulty_batch_matches_separate_decodes(
+        self, small_code, small_encoder
+    ):
+        # One batch holds frames that converge in a few iterations and
+        # frames that run to the budget.  Each request gets exactly what
+        # it gets decoded alone: frames that stop early leave the batch
+        # without changing the others.
+        config = FLOAT_CONFIG.replace(max_iterations=10)
+        hard = _llr(WIMAX, 3, seed=52)  # noise only: runs to the budget
+        _, _, easy = make_noisy_llrs(small_code, small_encoder, 7.0, 2, 53)
+        # Only the size trigger can flush, once both requests are in.
+        with DecodeService(
+            max_batch=5, max_wait=30.0, workers=1, default_config=config
+        ) as svc:
+            f_hard = svc.submit(WIMAX, hard)
+            f_easy = svc.submit(WIMAX, easy)
+            r_hard = f_hard.result(timeout=60)
+            r_easy = f_easy.result(timeout=60)
+            snapshot = svc.metrics_snapshot()
+        assert snapshot["batches_dispatched"] == 1
+        assert snapshot["max_batch_frames"] == 5
+        direct = LayeredDecoder(small_code, config)
+        _assert_identical(r_hard, direct.decode(hard), "hard request")
+        _assert_identical(r_easy, direct.decode(easy), "easy request")
+        assert r_easy.iterations.max() < r_hard.iterations.min()
 
     def test_concurrent_close_both_block_until_drained(self):
         llr = _llr(WIMAX, 2, seed=36)
@@ -562,6 +593,9 @@ class TestDecodeService:
             DecodeService(max_batch=0)
         with pytest.raises(ValueError):
             DecodeService(max_wait=-1.0)
+        # Each batch decodes in one shot: there is no slicing knob.
+        with pytest.raises(TypeError, match="iteration_slice"):
+            DecodeService(iteration_slice=2)
 
     def test_warm_modes_make_first_requests_hits(self):
         with DecodeService(

@@ -1,5 +1,4 @@
-"""Adaptive decode policies, the service-tier ET default, and
-incremental-iteration scheduling (PR 9).
+"""Adaptive decode policies and the service-tier ET default.
 
 Three layers of contract:
 
@@ -15,15 +14,12 @@ Three layers of contract:
    fixed-point BER equals float BER — through the *defaulted* service
    path, with the residual demonstrated on a paper-only direct decode.
 3. **Service threading**: policy selection + SNR estimation on submit,
-   per-rule metrics, energy gauges, incremental scheduling
-   (``iteration_slice=``) with early delivery, FIFO preservation and
-   drain safety.
+   per-rule metrics and energy gauges.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -34,7 +30,6 @@ from repro.decoder import DecoderConfig, LayeredDecoder
 from repro.encoder import make_encoder
 from repro.fixedpoint import QFormat
 from repro.link import Link
-from repro.runtime import FaultPlan
 from repro.service import (
     DEFAULT_RULES,
     DecodePolicy,
@@ -455,163 +450,3 @@ class TestPolicyService:
             snap = service.metrics_snapshot()
         assert "policy" not in snap
         assert snap["energy_pj_total"] > 0.0  # energy is always accounted
-
-
-# ---------------------------------------------------------------------------
-# Incremental-iteration scheduling through the service
-# ---------------------------------------------------------------------------
-class TestIncrementalService:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="iteration_slice"):
-            DecodeService(workers=1, iteration_slice=0)
-        with pytest.raises(ValueError, match="thread executor"):
-            DecodeService(workers=1, iteration_slice=2, executor="process")
-
-    def test_sliced_service_is_bit_identical(self):
-        code = get_code(WIMAX_SMALL)
-        encoder = make_encoder(code)
-        rng = np.random.default_rng(SEED + 2)
-        config = DecoderConfig(backend="fast")
-        payloads = [
-            _noisy_llrs(code, encoder, 3, snr, rng)[1]
-            for snr in (0.0, 2.0, 4.0, 6.0)
-        ]
-        direct = [LayeredDecoder(code, config).decode(p) for p in payloads]
-        with DecodeService(
-            workers=2,
-            max_wait=0.005,
-            default_config=config,
-            iteration_slice=2,
-        ) as service:
-            futures = [
-                service.submit(WIMAX_SMALL, p, config=config)
-                for p in payloads
-            ]
-            served = [f.result(timeout=60) for f in futures]
-            snap = service.metrics_snapshot()
-        for one, ref in zip(served, direct):
-            _assert_identical(one, ref, "sliced service vs one-shot")
-        assert snap["decode_slices"] > 0
-        assert "policy" in snap  # savings section present when slicing
-
-    def test_early_delivery_and_requeue_metrics(self):
-        """A mixed batch frees its easy requests before the hard ones."""
-        code = get_code(WIMAX_SMALL)
-        encoder = make_encoder(code)
-        rng = np.random.default_rng(SEED + 3)
-        hard = 8.0 * rng.standard_normal((4, code.n))  # junk: runs to budget
-        _, easy = _noisy_llrs(code, encoder, 4, 7.0, rng)
-        config = DecoderConfig(backend="fast", max_iterations=10)
-        with DecodeService(
-            workers=1,
-            max_wait=0.05,  # wide window: both requests share one batch
-            default_config=config,
-            iteration_slice=1,
-        ) as service:
-            f_hard = service.submit(WIMAX_SMALL, hard, config=config)
-            f_easy = service.submit(WIMAX_SMALL, easy, config=config)
-            r_hard = f_hard.result(timeout=60)
-            r_easy = f_easy.result(timeout=60)
-            snap = service.metrics_snapshot()
-        _assert_identical(
-            r_easy,
-            LayeredDecoder(code, config).decode(easy),
-            "early-delivered slice",
-        )
-        _assert_identical(
-            r_hard,
-            LayeredDecoder(code, config).decode(hard),
-            "requeued slice",
-        )
-        assert snap["decode_slices"] >= 2
-        assert snap["continuations_requeued"] >= 1
-        assert snap["requests_early_delivered"] >= 1
-
-    def test_per_client_fifo_survives_early_delivery(self):
-        """Request k never resolves before k-1, even when k finishes
-        decoding first inside a sliced batch."""
-        code = get_code(WIMAX_SMALL)
-        encoder = make_encoder(code)
-        rng = np.random.default_rng(SEED + 4)
-        hard = 8.0 * rng.standard_normal((3, code.n))
-        _, easy = _noisy_llrs(code, encoder, 3, 7.0, rng)
-        config = DecoderConfig(backend="fast", max_iterations=10)
-        order = []
-        with DecodeService(
-            workers=1,
-            max_wait=0.05,
-            default_config=config,
-            iteration_slice=1,
-        ) as service:
-            f1 = service.submit(WIMAX_SMALL, hard, config=config, client="c")
-            f2 = service.submit(WIMAX_SMALL, easy, config=config, client="c")
-            f1.add_done_callback(lambda f: order.append("hard"))
-            f2.add_done_callback(lambda f: order.append("easy"))
-            f2.result(timeout=60)
-            f1.result(timeout=60)
-        assert order == ["hard", "easy"]
-
-    def test_continuation_waits_behind_fresh_due_batches(self):
-        """With one worker, a sliced survivor requeues behind a group
-        that fell due while its slice ran — so an easy request arriving
-        then resolves long before the hard one it queued behind."""
-        code = get_code(WIMAX_SMALL)
-        encoder = make_encoder(code)
-        rng = np.random.default_rng(SEED + 7)
-        hard = 8.0 * rng.standard_normal((2, code.n))  # junk: runs long
-        _, easy = _noisy_llrs(code, encoder, 2, 7.0, rng)
-        config = DecoderConfig(backend="fast", max_iterations=10)
-        # The first slice stalls the only worker for 0.3 s.
-        plan = FaultPlan(seed=7, worker_hang=[0], hang_duration=0.3)
-        order = []
-        with DecodeService(
-            workers=1,
-            max_wait=0.001,
-            default_config=config,
-            iteration_slice=1,
-            faults=plan,
-        ) as service:
-            f_hard = service.submit(
-                WIMAX_SMALL, hard, config=config, client="hard"
-            )
-            time.sleep(0.05)  # the hard batch holds the stalled worker
-            f_easy = service.submit(
-                WIMAX_SMALL, easy, config=config, client="easy"
-            )
-            f_hard.add_done_callback(lambda f: order.append("hard"))
-            f_easy.add_done_callback(lambda f: order.append("easy"))
-            r_hard = f_hard.result(timeout=60)
-            r_easy = f_easy.result(timeout=60)
-            snap = service.metrics_snapshot()
-        assert order == ["easy", "hard"]
-        assert snap["batches_dispatched"] == 2  # easy left as its own batch
-        assert snap["continuations_requeued"] >= 1
-        direct = LayeredDecoder(code, config)
-        _assert_identical(r_hard, direct.decode(hard), "queued survivor")
-        _assert_identical(r_easy, direct.decode(easy), "fresh batch")
-        assert r_hard.iterations.max() > r_easy.iterations.max()
-
-    def test_drain_resolves_in_flight_continuations(self):
-        """close() while sliced decodes are in flight strands nothing."""
-        code = get_code(WIMAX_SMALL)
-        rng = np.random.default_rng(SEED + 5)
-        config = DecoderConfig(backend="fast", max_iterations=10)
-        payloads = [
-            8.0 * rng.standard_normal((4, code.n)) for _ in range(6)
-        ]
-        service = DecodeService(
-            workers=2,
-            max_wait=0.001,
-            default_config=config,
-            iteration_slice=1,
-        )
-        futures = [
-            service.submit(WIMAX_SMALL, p, config=config) for p in payloads
-        ]
-        service.close()  # immediately: most slices still in flight
-        for future, payload in zip(futures, payloads):
-            _assert_identical(
-                future.result(timeout=60),
-                LayeredDecoder(code, config).decode(payload),
-                "drained continuation",
-            )
