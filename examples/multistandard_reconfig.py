@@ -66,6 +66,9 @@ def main(seed: int = 7) -> None:
         max_batch=16,
         max_wait=0.005,
         workers=2,
+        # Threads decode from this cache, so the hits printed below are
+        # the service's own (worker processes keep caches of their own).
+        executor="thread",
         cache=repro.default_plan_cache(),
         default_config=config,
         warm_modes=[mode for mode, *_ in FRAME_STREAM],  # <- mode ROM warm

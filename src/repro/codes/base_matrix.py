@@ -85,11 +85,12 @@ class BaseMatrix:
                 f"got range [{entries.min()}, {entries.max()}]"
             )
         object.__setattr__(self, "entries", entries)
+        rows, cols = np.nonzero(entries != ZERO_BLOCK)  # row-major order
         nonzero = tuple(
-            BlockEntry(layer=int(r), column=int(c), shift=int(entries[r, c]))
-            for r in range(entries.shape[0])
-            for c in range(entries.shape[1])
-            if entries[r, c] != ZERO_BLOCK
+            BlockEntry(layer=r, column=c, shift=shift)
+            for r, c, shift in zip(
+                rows.tolist(), cols.tolist(), entries[rows, cols].tolist()
+            )
         )
         if not nonzero:
             raise CodeConstructionError("base matrix has no non-zero blocks")

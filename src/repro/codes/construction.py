@@ -52,43 +52,79 @@ def _scaled_shift(shift: int, z_from: int, z_to: int, rule: str) -> int:
     return shift % z_to
 
 
-def _creates_four_cycle(
-    entries: np.ndarray,
-    z: int,
-    row: int,
-    col: int,
-    shift: int,
-    scale_targets: tuple[tuple[int, str], ...] = (),
-) -> bool:
-    """Would setting ``entries[row, col] = shift`` close a 4-cycle?
+class _FourCycleGuard:
+    """Incremental 4-cycle test for a base matrix under construction.
 
-    Checks every other row ``r2`` that already has an entry in ``col`` and
-    every other column ``c2`` shared by ``row`` and ``r2`` — at the native
-    expansion ``z`` *and* at every ``(z_target, rule)`` the matrix will be
-    shift-scaled to (802.16e derives 18 smaller sizes from the z=96 table,
-    and a matrix that is 4-cycle-free at z=96 is not automatically so
-    after scaling).
+    Keeps, for every ordered row pair ``(r1, r2)``, the set of shift
+    differences ``s[r1, c] - s[r2, c]`` over the columns both rows
+    occupy — at the native expansion ``z`` *and* at every ``(z_target,
+    rule)`` the matrix will be shift-scaled to (802.16e derives 18
+    smaller sizes from the z=96 table, and a matrix that is 4-cycle-free
+    at z=96 is not automatically so after scaling).  An empty entry
+    ``(row, col)`` set to ``shift`` closes a 4-cycle exactly when, for
+    some row ``r2`` already in ``col``, ``shift - s[r2, col]`` is in the
+    ``(row, r2)`` set at one of those moduli: the two shared columns
+    then satisfy the QC condition of the module docstring.  A test
+    costs one set lookup per row of ``col`` and modulus, where a rescan
+    of the matrix costs ``j * k`` quads.
+
+    Every entry must land through :meth:`place` once the guard exists.
     """
-    j, k = entries.shape
-    for r2 in range(j):
-        if r2 == row or entries[r2, col] == ZERO_BLOCK:
-            continue
-        for c2 in range(k):
-            if c2 == col:
-                continue
-            if entries[row, c2] == ZERO_BLOCK or entries[r2, c2] == ZERO_BLOCK:
-                continue
-            quad = (shift, entries[r2, col], entries[r2, c2], entries[row, c2])
-            delta = quad[0] - quad[1] + quad[2] - quad[3]
-            if delta % z == 0:
-                return True
-            for z_target, rule in scale_targets:
-                a, b, c, d = (
-                    _scaled_shift(int(s), z, z_target, rule) for s in quad
-                )
-                if (a - b + c - d) % z_target == 0:
+
+    def __init__(
+        self,
+        entries: np.ndarray,
+        z: int,
+        scale_targets: tuple[tuple[int, str], ...] = (),
+    ):
+        j, k = entries.shape
+        self.entries = entries
+        self.z = z
+        self._targets = tuple(scale_targets)
+        self._moduli = (z,) + tuple(z_target for z_target, _ in self._targets)
+        # One set per row pair holds every modulus: the difference at
+        # modulus ``m_i`` is stored offset by ``i * max(m)``.
+        stride = max(self._moduli)
+        self._offsets = tuple(range(0, stride * len(self._moduli), stride))
+        self._pairs = [[set() for _ in range(j)] for _ in range(j)]
+        #: ``_columns[c]``: ``(row, scaled shifts)`` of every entry in ``c``.
+        self._columns: list[list] = [[] for _ in range(k)]
+        for row, col in zip(*np.nonzero(entries != ZERO_BLOCK)):
+            self._record(int(row), int(col), int(entries[row, col]))
+
+    def _scaled(self, shift: int) -> tuple[int, ...]:
+        return (shift,) + tuple(
+            _scaled_shift(shift, self.z, z_target, rule)
+            for z_target, rule in self._targets
+        )
+
+    def closes_cycle(self, row: int, col: int, shift: int) -> bool:
+        """Would setting the empty entry ``(row, col)`` to ``shift`` close
+        a 4-cycle?"""
+        pairs = self._pairs[row]
+        scaled = self._scaled(shift)
+        views = self._moduli, self._offsets
+        for r2, other in self._columns[col]:
+            seen = pairs[r2]
+            for a, b, m, base in zip(scaled, other, *views):
+                if base + (a - b) % m in seen:
                     return True
-    return False
+        return False
+
+    def place(self, row: int, col: int, shift: int) -> None:
+        """Write ``entries[row, col] = shift`` and record its differences."""
+        self.entries[row, col] = shift
+        self._record(row, col, shift)
+
+    def _record(self, row: int, col: int, shift: int) -> None:
+        scaled = self._scaled(shift)
+        views = self._moduli, self._offsets
+        for r2, other in self._columns[col]:
+            ahead, behind = self._pairs[row][r2], self._pairs[r2][row]
+            for a, b, m, base in zip(scaled, other, *views):
+                ahead.add(base + (a - b) % m)
+                behind.add(base + (b - a) % m)
+        self._columns[col].append((row, scaled))
 
 
 def _pick_rows_for_column(
@@ -159,17 +195,18 @@ def build_qc_base_matrix(
         entries = np.full((j, k), ZERO_BLOCK, dtype=np.int64)
         s0 = int(rng.integers(1, z)) if z > 2 else 1
         _place_parity_part(entries, j, k, s0)
+        guard = _FourCycleGuard(entries, z, scale_targets)
         row_degrees = (entries != ZERO_BLOCK).sum(axis=1)
 
         ok = True
         for col in range(k - j):
             rows = _pick_rows_for_column(row_degrees, degree, rng)
             for row in rows:
-                shift = _pick_shift(entries, z, row, col, rng, scale_targets)
+                shift = _pick_shift(guard, row, col, rng)
                 if shift is None:
                     ok = False
                     break
-                entries[row, col] = shift
+                guard.place(row, col, shift)
                 row_degrees[row] += 1
             if not ok:
                 break
@@ -188,24 +225,19 @@ def build_qc_base_matrix(
 
 
 def _pick_shift(
-    entries: np.ndarray,
-    z: int,
+    guard: _FourCycleGuard,
     row: int,
     col: int,
     rng: np.random.Generator,
-    scale_targets: tuple[tuple[int, str], ...] = (),
 ) -> int | None:
     """Draw a shift for (row, col) that closes no 4-cycle, or ``None``."""
+    z = guard.z
     for _ in range(_SHIFT_RETRIES):
         shift = int(rng.integers(0, z))
-        if not _creates_four_cycle(entries, z, row, col, shift, scale_targets):
+        if not guard.closes_cycle(row, col, shift):
             return shift
     # Exhaustive fallback: the retry budget can miss rare feasible shifts.
-    feasible = [
-        s
-        for s in range(z)
-        if not _creates_four_cycle(entries, z, row, col, s, scale_targets)
-    ]
+    feasible = [s for s in range(z) if not guard.closes_cycle(row, col, s)]
     if feasible:
         return int(rng.choice(feasible))
     return None

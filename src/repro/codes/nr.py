@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.codes.base_matrix import ZERO_BLOCK, BaseMatrix
 from repro.codes.construction import (
+    _FourCycleGuard,
     _pick_rows_for_column,
     _pick_shift,
     _place_parity_part,
@@ -197,16 +198,17 @@ def nr_base_matrix(bg: int, z: int) -> BaseMatrix:
     # is a view, so _place_parity_part writes straight into `entries`.
     s0 = int(rng.integers(1, z)) if z > 2 else 1
     _place_parity_part(entries[:core, : kb + core], core, kb + core, s0)
+    guard = _FourCycleGuard(entries, z)
 
     # Extension rows: one degree-1 shift-0 parity column each, plus one
     # core-parity entry so IR retransmissions cover the core parity.
     for row in range(core, j):
-        entries[row, kb + row] = 0
+        guard.place(row, kb + row, 0)
         col = kb + (row % core)
-        shift = _pick_shift(entries, z, row, col, rng)
+        shift = _pick_shift(guard, row, col, rng)
         if shift is None:
             shift = int(rng.integers(0, z))
-        entries[row, col] = shift
+        guard.place(row, col, shift)
 
     # Information columns, least-loaded row placement; columns 0 and 1
     # (the punctured systematic columns) carry elevated degree.
@@ -215,13 +217,13 @@ def nr_base_matrix(bg: int, z: int) -> BaseMatrix:
     for col in range(kb):
         degree = punct_degree if col < 2 else info_degree
         for row in _pick_rows_for_column(row_degrees, min(degree, j), rng):
-            shift = _pick_shift(entries, z, row, col, rng)
+            shift = _pick_shift(guard, row, col, rng)
             if shift is None:
                 # Best effort only: at small Z the dense punctured
                 # columns cannot stay 4-cycle-free (nor can the real
                 # 38.212 graphs) — accept the cycle, keep determinism.
                 shift = int(rng.integers(0, z))
-            entries[row, col] = shift
+            guard.place(row, col, shift)
             row_degrees[row] += 1
 
     return BaseMatrix(

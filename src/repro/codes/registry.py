@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.codes.base_matrix import BaseMatrix
 from repro.codes.dmbt import DMBT_Z, dmbt_base_matrix, dmbt_rates
 from repro.codes.nr import (
     NR_BG_PARAMS,
@@ -128,16 +129,19 @@ def get_code(mode: str) -> QCLDPCCode:
     >>> (code.n, code.n_info)
     (2304, 1152)
     """
+    return QCLDPCCode(base_matrix(mode))
+
+
+def base_matrix(mode: str) -> BaseMatrix:
+    """The unexpanded base matrix of a mode string (not cached here)."""
     descriptor = describe_mode(mode)
     if descriptor.standard == "802.11n":
-        base = wifi_base_matrix(descriptor.rate, descriptor.z)
-    elif descriptor.standard == "802.16e":
-        base = wimax_base_matrix(descriptor.rate, descriptor.z)
-    elif descriptor.standard == "NR":
-        base = nr_base_matrix(int(descriptor.rate[2]), descriptor.z)
-    else:
-        base = dmbt_base_matrix(descriptor.rate)
-    return QCLDPCCode(base)
+        return wifi_base_matrix(descriptor.rate, descriptor.z)
+    if descriptor.standard == "802.16e":
+        return wimax_base_matrix(descriptor.rate, descriptor.z)
+    if descriptor.standard == "NR":
+        return nr_base_matrix(int(descriptor.rate[2]), descriptor.z)
+    return dmbt_base_matrix(descriptor.rate)
 
 
 def code_cache_info() -> dict:

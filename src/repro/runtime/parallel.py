@@ -2,22 +2,21 @@
 
 The Monte-Carlo machinery lives in :mod:`repro.runtime.engine`; this
 module provides the executors under it and under the decode service.
-:class:`WorkerPool` is a persistent named *supervised* thread pool for
-long-lived dispatchers (the execution substrate of
-:class:`~repro.service.DecodeService`).  Threads rather than processes:
-numpy kernels release the GIL, so decode-bound work overlaps, and
-closures need no pickling.
+:class:`WorkerPool` is a persistent named *supervised* thread pool: the
+decode service's executor on a one-core host, or when asked for
+threads.  Closures need no pickling, but threads share one interpreter
+lock, which the per-layer Python between numpy kernels holds — two
+decode threads measured slower than one on the service's batch sizes.
 
-For workloads where the GIL *does* bite — pure-Python schedule
-bookkeeping between kernel calls, many small batches — the module also
-provides :class:`ProcessWorkerPool`: the same supervised-executor
+:class:`ProcessWorkerPool` carries the same supervised-executor
 contract (futures, crash ⇒ :class:`~repro.errors.WorkerCrashedError`
 plus respawn, hang detection, drain-on-shutdown) over *persistent
-worker processes*.  Workers keep their own plan caches, bulk arrays
-travel through parent-owned :mod:`multiprocessing.shared_memory`
-segments instead of pickle, and :func:`shared_process_pool` keeps one
-pool per worker count alive for the whole interpreter so pool startup
-is paid once, not per sweep.
+worker processes*, forked on demand: the decode service's default on
+two or more cores, and the sweep engine's parallel path.  Workers keep
+their own plan caches, bulk arrays travel through parent-owned
+:mod:`multiprocessing.shared_memory` segments instead of pickle, and
+:func:`shared_process_pool` keeps one pool per worker count alive for
+the whole interpreter so pool startup is paid once, not per sweep.
 """
 
 from __future__ import annotations
@@ -377,6 +376,13 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 # Process pool: shared-memory arena
 # ---------------------------------------------------------------------------
+#: Held across every worker fork and every segment create or unlink, of
+#: every pool in the process.  The latter take the resource tracker's
+#: lock, and a worker forked while another thread held it would
+#: deadlock on its first segment attach.  Taken inside a pool's lock.
+_TRACKER_LOCK = threading.Lock()
+
+
 def _bucket_size(nbytes: int) -> int:
     """Segment size class: next power of two, at least one page."""
     return max(4096, 1 << max(0, int(nbytes) - 1).bit_length())
@@ -409,7 +415,8 @@ class _ShmArena:
         if stack:
             segment = stack.pop()
         else:
-            segment = shared_memory.SharedMemory(create=True, size=size)
+            with _TRACKER_LOCK:
+                segment = shared_memory.SharedMemory(create=True, size=size)
             self.segments_created += 1
         self._active[segment.name] = segment
         return segment
@@ -427,7 +434,8 @@ class _ShmArena:
     def _destroy(self, segment: shared_memory.SharedMemory) -> None:
         segment.close()
         try:
-            segment.unlink()
+            with _TRACKER_LOCK:
+                segment.unlink()
         except FileNotFoundError:  # pragma: no cover — external cleanup
             pass
         self.segments_unlinked += 1
@@ -485,10 +493,20 @@ class _ProcSlot:
 
     generation: int
     proc: object = None
-    task_q: object = None
+    tasks: object = None  # parent's end of the worker's task pipe
     current: "_ProcTask | None" = None
     started: "float | None" = None
     stopping: bool = False  # sentinel sent; clean exit expected
+    peak_rss_mb: float = 0.0  # the worker's own, as of its last result
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask, where the
+    platform has one), at least 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover — no affinity API
+        return os.cpu_count() or 1
 
 
 def _default_start_method() -> str:
@@ -520,9 +538,9 @@ class ProcessWorkerPool:
       registry in :mod:`repro.runtime.procworker` and parameterized by
       a small picklable descriptor.
     - **Shared-memory transport.**  Bulk arrays move through a
-      parent-owned segment arena (:class:`_ShmArena`); the queues carry
-      descriptors only.  A task with arrays resolves to
-      ``(payload, outputs)``; without, to ``payload`` alone.
+      parent-owned segment arena (:class:`_ShmArena`); the task pipes
+      and the result queue carry descriptors only.  A task with arrays
+      resolves to ``(payload, outputs)``; without, to ``payload`` alone.
     - **Per-worker caches.**  Each worker builds its own
       :class:`~repro.service.PlanCache` (``cache_size`` entries), the
       software analogue of the paper's per-SISO message memories — no
@@ -536,6 +554,18 @@ class ProcessWorkerPool:
       evaluated parent-side at assignment — keeping event counters
       deterministic — and executed child-side *before* the task runs,
       mirroring the thread pool's dequeue-time hook.
+    - **Workers fork on demand.**  Construction forks nothing; a task
+      forks one more worker only when every live worker is busy and
+      fewer than ``workers`` exist.  A pool that never gets a task
+      costs no process, and each worker is forked from the parent as it
+      is at that moment, inheriting the expanded codes and fixed-point
+      ROMs the parent has built by then (the module-level caches; plan
+      caches are per worker).
+    - **Workers die with their parent.**  An idle worker waits on its
+      task pipe and the parent's sentinel together, and exits once the
+      parent is gone, however it died (see
+      :func:`~repro.runtime.procworker.worker_main`).  Each result
+      carries the worker's own peak RSS, exported by :meth:`stats`.
     """
 
     def __init__(
@@ -559,11 +589,6 @@ class ProcessWorkerPool:
         self._clock = clock
         self._cache_size = int(cache_size)
         self._ctx = multiprocessing.get_context(_default_start_method())
-        # Start the tracker from the parent *before* the first fork:
-        # otherwise the first child to touch shared memory spawns its
-        # own tracker, which then warns about "leaked" segments it
-        # never sees unlinked.
-        resource_tracker.ensure_running()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._arena = _ShmArena()
@@ -580,9 +605,7 @@ class ProcessWorkerPool:
         self.hangs_detected = 0
         self.respawns = 0
         self.tasks_completed = 0
-        with self._lock:
-            for _ in range(self.workers):
-                self._spawn_slot_locked()
+        self._worker_peak_rss_mb = 0.0
         self._stop_supervisor = threading.Event()
         self._supervise_interval = float(supervise_interval)
         self._collector = threading.Thread(
@@ -658,7 +681,11 @@ class ProcessWorkerPool:
         return future
 
     def stats(self) -> dict:
-        """Supervision counters, occupancy, and segment accounting."""
+        """Supervision counters, occupancy, segment accounting, and the
+        workers' memory: ``worker_peak_rss_mb`` is the largest peak RSS
+        any worker has reported, ``workers_peak_rss_mb_total`` the sum
+        over live workers (an upper bound: copy-on-write pages shared
+        with the parent count in each)."""
         with self._lock:
             busy = sum(1 for s in self._slots if s.current is not None)
             out = {
@@ -670,6 +697,10 @@ class ProcessWorkerPool:
                 "respawns": self.respawns,
                 "processes_spawned": self._spawned,
                 "tasks_completed": self.tasks_completed,
+                "worker_peak_rss_mb": self._worker_peak_rss_mb,
+                "workers_peak_rss_mb_total": sum(
+                    (s.peak_rss_mb for s in self._slots if not s.stopping), 0.0
+                ),
             }
             out.update(self._arena.stats())
             return out
@@ -714,66 +745,96 @@ class ProcessWorkerPool:
     # Parent-side dispatch
     # ------------------------------------------------------------------
     def _spawn_slot_locked(self) -> _ProcSlot:
+        # Synthetic code construction draws from numpy.random, which
+        # numpy imports lazily.  Import it before forking, so that a
+        # child never imports a module another parent thread may have
+        # half imported (its module lock would never be released).
+        import numpy.random  # noqa: F401
+
         slot = _ProcSlot(generation=self._spawned)
         self._spawned += 1
-        slot.task_q = self._ctx.SimpleQueue()
+        reader, slot.tasks = self._ctx.Pipe(duplex=False)
         slot.proc = self._ctx.Process(
             target=worker_main,
-            args=(slot.generation, slot.task_q, self._result_q, self._cache_size),
+            args=(slot.generation, reader, self._result_q, self._cache_size),
             name=f"{self.name}-{slot.generation}",
             daemon=True,
         )
-        with warnings.catch_warnings():
+        with _TRACKER_LOCK, warnings.catch_warnings():
+            # Start the tracker from the parent *before* the first fork:
+            # otherwise the first child to touch shared memory spawns
+            # its own tracker, which then warns about "leaked" segments
+            # it never sees unlinked.
+            resource_tracker.ensure_running()
             # Python 3.12+ deprecation-warns on fork-from-a-threaded
-            # parent.  This is the one sanctioned fork site: workers
-            # re-exec nothing and touch only their own queues, and CI
-            # runs with DeprecationWarning promoted to errors.
+            # parent.  This is the one sanctioned fork site, reached
+            # from whichever thread dispatches (or the supervisor, to
+            # respawn), and a child needs no lock another parent thread
+            # can hold: it uses its own pipe, the result queue's
+            # cross-process lock, a fresh PlanCache, the lock-free code
+            # and fold-ROM caches, and the resource tracker (see
+            # _TRACKER_LOCK); its task paths import nothing that is not
+            # imported by now.  CI runs with DeprecationWarning promoted
+            # to errors.
             warnings.simplefilter("ignore", DeprecationWarning)
             slot.proc.start()
+        reader.close()  # the child's end; the parent only writes
         self._slots.append(slot)
         return slot
 
+    def _idle_slot_locked(self) -> "_ProcSlot | None":
+        """A live worker with no task, forking one if every live worker
+        is busy and the pool is below ``workers``; else ``None``."""
+        for slot in self._slots:
+            if slot.current is None and not slot.stopping and slot.proc.is_alive():
+                return slot
+        # Dead workers count until the supervisor reaps (and respawns)
+        # them, so a crash never makes the pool over-fork.
+        if sum(1 for s in self._slots if not s.stopping) < self.workers:
+            return self._spawn_slot_locked()
+        return None
+
     def _assign_locked(self) -> None:
         """Pair queued tasks with idle workers (caller holds the lock)."""
-        for slot in self._slots:
-            if slot.current is not None or slot.stopping:
-                continue
-            if slot.proc is None or not slot.proc.is_alive():
-                continue  # supervisor will reap and respawn
-            while self._tasks:
-                task = self._tasks.popleft()
-                if not task.future.set_running_or_notify_cancel():
-                    if task.segment is not None:
-                        self._arena.release(task.segment)
-                    continue  # cancelled while queued
-                directive = None
-                if self._faults is not None:
-                    directive = self._faults.worker_directive()
-                slot.current = task
-                slot.started = self._clock()
-                self._inflight[task.task_id] = (task, slot)
-                slot.task_q.put((
+        while self._tasks:
+            slot = self._idle_slot_locked()
+            if slot is None:
+                return
+            task = self._tasks.popleft()
+            if not task.future.set_running_or_notify_cancel():
+                if task.segment is not None:
+                    self._arena.release(task.segment)
+                continue  # cancelled while queued
+            directive = None
+            if self._faults is not None:
+                directive = self._faults.worker_directive()
+            slot.current = task
+            slot.started = self._clock()
+            self._inflight[task.task_id] = (task, slot)
+            try:
+                slot.tasks.send((
                     task.task_id, task.kind, task.meta,
                     task.shm_spec(), directive,
                 ))
-                break
-            if not self._tasks:
-                break
+            except OSError:
+                pass  # the worker just died: the supervisor fails the task
 
     def _collector_loop(self) -> None:
         while True:
             item = self._result_q.get()
             if item is None:
                 return
-            _worker_id, task_id, status, payload = item
+            _worker_id, task_id, status, payload, peak_rss = item
             resolution = None
             with self._cond:
+                self._worker_peak_rss_mb = max(self._worker_peak_rss_mb, peak_rss)
                 entry = self._inflight.pop(task_id, None)
                 if entry is None:
                     # Task already adjudicated (hang verdict delivered,
                     # segment discarded) — the late message is dropped.
                     continue
                 task, slot = entry
+                slot.peak_rss_mb = peak_rss
                 if slot.current is task:
                     slot.current = None
                     slot.started = None
@@ -882,8 +943,10 @@ class ProcessWorkerPool:
                     doomed.append(slot)
                     self.respawns += 1
                     self._spawn_slot_locked()
+            # Replacements take queued work at once, including a task
+            # that queued behind a worker which died idle.
+            self._assign_locked()
             if victims:
-                self._assign_locked()
                 self._cond.notify_all()
         for slot in doomed:
             slot.proc.terminate()
@@ -948,7 +1011,7 @@ class ProcessWorkerPool:
                 if not slot.stopping and slot.current is None:
                     slot.stopping = True
                     try:
-                        slot.task_q.put(None)
+                        slot.tasks.send(None)
                     except (OSError, ValueError):  # pragma: no cover
                         pass
         for future, error in abandoned:
@@ -970,6 +1033,7 @@ class ProcessWorkerPool:
             if slot.proc.is_alive():  # pragma: no cover — SIGTERM ignored
                 slot.proc.kill()
                 slot.proc.join(timeout=1.0)
+            slot.tasks.close()
         self._stop_supervisor.set()
         self._result_q.put(None)
         self._collector.join(timeout=2.0)

@@ -1,11 +1,11 @@
 """Child-process side of :class:`~repro.runtime.parallel.ProcessWorkerPool`.
 
 A pool worker is a long-lived process that loops over a private task
-queue.  Everything that is *large* — LLR frames in, decode result
-arrays out — travels through :mod:`multiprocessing.shared_memory`
-segments owned by the parent (see ``_ShmArena`` in
-:mod:`repro.runtime.parallel`); the queues carry only small pickled
-descriptors.  Everything that is *expensive to build* — compiled decode
+pipe and exits when its parent does.  Everything that is *large* — LLR
+frames in, decode result arrays out — travels through
+:mod:`multiprocessing.shared_memory` segments owned by the parent (see
+``_ShmArena`` in :mod:`repro.runtime.parallel`); the pipes carry only
+small pickled descriptors.  Everything that is *expensive to build* — compiled decode
 plans, fixed-point ROM tables, encoder eliminations — lives in
 per-worker caches (:class:`~repro.service.PlanCache` for service decode
 tasks, a one-slot structural cache for sweep chunks), so a worker
@@ -28,9 +28,11 @@ vocabulary keeps the wire format auditable).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import resource
 import time
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 
 import numpy as np
 
@@ -42,6 +44,9 @@ ALIGNMENT = 64
 #: parent's supervisor does not read it — a dead process is a dead
 #: process — but it makes chaos-test post-mortems unambiguous.
 CRASH_EXIT_CODE = 71
+
+#: Seconds an idle worker waits between checks that its parent lives.
+PARENT_POLL_S = 1.0
 
 
 def _aligned(nbytes: int) -> int:
@@ -241,11 +246,39 @@ def run_task(state: WorkerState, kind: str, meta, shm_spec) -> object:
     return payload
 
 
-def worker_main(worker_id: int, task_q, result_q, cache_size: int) -> None:
-    """Pool worker entry point: loop until the ``None`` sentinel."""
+def peak_rss_mb() -> float:
+    """This process's peak resident set, MB (Linux reports KiB).
+
+    A forked worker's peak starts from its resident set at the fork, so
+    it measures the worker alone, shared copy-on-write pages included.
+    """
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _next_task(tasks, parent_sentinel: int, parent_pid: int):
+    """Block for the next task; ``None`` once the parent is gone.
+
+    The parent's sentinel reads ready when its end of the pipe closes,
+    which a parent killed by a signal does too.  Siblings forked later
+    inherit that end, so the wait also wakes every
+    :data:`PARENT_POLL_S` to compare ``getppid()``: a reparented worker
+    has lost its parent even while a sibling holds the pipe open.
+    """
+    while True:
+        ready = connection.wait([tasks, parent_sentinel], timeout=PARENT_POLL_S)
+        if tasks in ready:
+            return tasks.recv()
+        if ready or os.getppid() != parent_pid:
+            return None
+
+
+def worker_main(worker_id: int, tasks, result_q, cache_size: int) -> None:
+    """Pool worker entry point: loop until the ``None`` sentinel arrives
+    or the parent dies."""
+    parent = multiprocessing.parent_process()
     state = WorkerState(cache_size=cache_size)
     while True:
-        item = task_q.get()
+        item = _next_task(tasks, parent.sentinel, parent.pid)
         if item is None:
             return
         task_id, kind, meta, shm_spec, directive = item
@@ -262,7 +295,7 @@ def worker_main(worker_id: int, task_q, result_q, cache_size: int) -> None:
             payload = run_task(state, kind, meta, shm_spec)
         except BaseException as exc:  # noqa: BLE001 — delivered to the future
             try:
-                result_q.put((worker_id, task_id, "error", exc))
+                result_q.put((worker_id, task_id, "error", exc, peak_rss_mb()))
             except Exception:
                 # Unpicklable exception: degrade to its repr rather
                 # than dying (which would turn a task error into a
@@ -270,17 +303,20 @@ def worker_main(worker_id: int, task_q, result_q, cache_size: int) -> None:
                 result_q.put((
                     worker_id, task_id, "error",
                     RuntimeError(f"worker task failed: {exc!r}"),
+                    peak_rss_mb(),
                 ))
         else:
-            result_q.put((worker_id, task_id, "ok", payload))
+            result_q.put((worker_id, task_id, "ok", payload, peak_rss_mb()))
 
 
 __all__ = [
     "ALIGNMENT",
     "CRASH_EXIT_CODE",
+    "PARENT_POLL_S",
     "TASKS",
     "WorkerState",
     "decode_out_spec",
+    "peak_rss_mb",
     "plan_layout",
     "read_arrays",
     "run_task",

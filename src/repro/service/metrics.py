@@ -325,7 +325,8 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
     Accepts the (possibly nested) dict shape of
     ``DecodeService.metrics_snapshot()``: scalar values become
     ``<prefix>_<key>`` samples, nested dicts (``plan_cache``,
-    ``worker_pool``) flatten to ``<prefix>_<group>_<key>``.  Each sample
+    ``worker_pool``) flatten to ``<prefix>_<group>_<key>``, and a text
+    value becomes ``<name>{<key>="<text>"} 1``.  Each sample
     carries a ``# TYPE`` line (``counter`` for monotone totals,
     ``gauge`` otherwise), which is all a Prometheus scraper needs — no
     client library involved.
@@ -337,10 +338,17 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
             for sub_key, sub_value in value.items():
                 emit(f"{name}_{sub_key}", sub_key, sub_value)
             return
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return  # text/odd values have no exposition form
-        kind = "counter" if key in _COUNTER_KEYS else "gauge"
         metric = name.replace(".", "_").replace("-", "_")
+        if isinstance(value, str):
+            # A setting (e.g. the resolved executor): an info-style
+            # gauge that carries the text as a label.
+            label = value.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f"# TYPE {metric} gauge")
+            lines.append(f'{metric}{{{key}="{label}"}} 1')
+            return
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return  # odd values have no exposition form
+        kind = "counter" if key in _COUNTER_KEYS else "gauge"
         lines.append(f"# TYPE {metric} {kind}")
         lines.append(f"{metric} {value}")
 

@@ -20,9 +20,9 @@ serving problem in software:
   worker is busy it keeps waiting in its bucket, where later arrivals
   of the same group join it, so a loaded service decodes big batches
   instead of queueing one-frame batches behind its workers;
-- dispatched batches decode on a supervised
-  :class:`~repro.runtime.WorkerPool` of threads (numpy kernels release
-  the GIL) through decoders cached in a
+- dispatched batches decode on supervised worker processes, one per
+  usable core and forked on demand (one thread on a one-core host),
+  through decoders cached per worker in a
   :class:`~repro.service.PlanCache`, so a mode switch is a cache hit;
 - every request resolves a future with its own
   :class:`~repro.decoder.DecodeResult` slice, delivered in **per-client
@@ -87,7 +87,7 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.power.model import PowerModel
-from repro.runtime.parallel import ProcessWorkerPool, WorkerPool
+from repro.runtime.parallel import ProcessWorkerPool, WorkerPool, usable_cores
 from repro.runtime.procworker import decode_out_spec
 from repro.service.admission import AdmissionPolicy, RetryPolicy
 from repro.service.cache import PlanCache
@@ -174,15 +174,20 @@ class DecodeService:
         deadline), so batching can never consume a request's whole
         deadline budget.
     workers:
-        Decode worker threads (or processes), and the bound on batches
+        Decode worker processes (or threads), and the bound on batches
         in flight: the dispatcher hands a batch to the pool only while
         fewer than ``workers`` are decoding, and a freed worker takes
         the group that fell due first.  Batches of *different* groups
         decode concurrently; within a group, dispatch order is
-        preserved.
+        preserved.  ``None`` (default) resolves once, at construction,
+        to the usable core count (the CPUs in this process's affinity
+        mask).
     cache:
         The :class:`PlanCache` to serve decoders from (default: a fresh
-        cache of 32 records).
+        cache of 32 records).  Under the process executor the workers
+        decode from plan caches of their own, so this cache serves no
+        decode; what it builds before a worker forks — expanded codes
+        and fixed-point ROMs — the worker inherits.
     default_config:
         Config for requests that do not carry one.  When omitted, the
         cache's default is adopted with its early-termination rule
@@ -195,7 +200,9 @@ class DecodeService:
         Modes (registry strings, codes, or a
         :class:`~repro.arch.mode_rom.ModeROM`) to compile eagerly at
         construction so the first request of each mode is already a
-        cache hit.
+        cache hit.  Under the process executor the workers fork after
+        this warm-up, so they inherit its codes and ROMs and compile
+        only their own plans (~1 ms per mode).
     queue_limit / overload_policy / client_quota:
         Admission control — see
         :class:`~repro.service.admission.AdmissionPolicy`.  Defaults
@@ -221,18 +228,26 @@ class DecodeService:
         parent-side at task assignment and executed in the child —
         same scripted placement, same supervisor recovery.
     executor:
-        ``"thread"`` (default) decodes batches on a supervised
+        ``"auto"`` (default) resolves once, at construction: two or
+        more usable cores decode on processes, one core on threads.
+        ``"process"`` shards batches across a dedicated
+        :class:`~repro.runtime.parallel.ProcessWorkerPool`, forked on
+        demand at dispatch: each worker process owns its own plan
+        cache, LLR frames and result arrays travel through
+        shared-memory segments, and the per-layer Python escapes the
+        interpreter lock (a worker round trip costs ~0.15 ms; the
+        cheapest batch of the serving mixes decodes in ~2 ms).
+        ``"thread"`` decodes on a supervised
         :class:`~repro.runtime.WorkerPool` of threads sharing the
-        service's :class:`PlanCache`.  ``"process"`` shards batches
-        across a dedicated
-        :class:`~repro.runtime.parallel.ProcessWorkerPool`: each
-        worker process owns its own plan cache, LLR frames and result
-        arrays travel through shared-memory segments, and pure-Python
-        schedule bookkeeping escapes the GIL.  Deadlines, admission,
+        service's :class:`PlanCache`; on one core one thread beats both
+        two threads and a worker process.  Deadlines, admission,
         retries, per-client FIFO and fault injection behave
         identically; results are bit-identical.  Prefer registry-string
         modes with the process executor (code *objects* re-pickle per
-        batch and defeat the per-worker plan cache).
+        batch and defeat the per-worker plan cache).  An explicit
+        ``executor`` or ``workers`` is never rewritten; the resolved
+        pair is :attr:`executor` / :attr:`workers` and appears under
+        ``metrics_snapshot()["worker_pool"]``.
     policy:
         Optional :class:`~repro.service.DecodePolicy`: every request's
         decode config is then selected per its operating-SNR estimate
@@ -251,7 +266,7 @@ class DecodeService:
         self,
         max_batch: int = 64,
         max_wait: float = 0.01,
-        workers: int = 2,
+        workers: "int | None" = None,
         cache: PlanCache | None = None,
         default_config: DecoderConfig | None = None,
         warm_modes=None,
@@ -263,7 +278,7 @@ class DecodeService:
         retry: "RetryPolicy | None" = None,
         hang_timeout: "float | None" = None,
         faults=None,
-        executor: str = "thread",
+        executor: str = "auto",
         policy: "DecodePolicy | None" = None,
     ):
         if max_batch < 1:
@@ -272,11 +287,16 @@ class DecodeService:
             raise ValueError("max_wait must be >= 0")
         if default_timeout is not None and default_timeout <= 0:
             raise ValueError("default_timeout must be positive (or None)")
-        if executor not in ("thread", "process"):
+        if executor not in ("auto", "thread", "process"):
             raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
+                "executor must be 'auto', 'thread' or 'process', got "
+                f"{executor!r}"
             )
+        cores = usable_cores()
+        if executor == "auto":
+            executor = "process" if cores >= 2 else "thread"
         self.executor = executor
+        self.workers = cores if workers is None else int(workers)
         self.decode_policy = policy
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
@@ -300,20 +320,13 @@ class DecodeService:
         self.metrics = ServiceMetrics(clock=clock)
         self._clock = clock
         self._faults = faults
-        if executor == "process":
-            self._pool = ProcessWorkerPool(
-                workers,
-                name="repro-decode",
-                hang_timeout=hang_timeout,
-                faults=faults,
-            )
-        else:
-            self._pool = WorkerPool(
-                workers,
-                name="repro-decode",
-                hang_timeout=hang_timeout,
-                faults=faults,
-            )
+        pool_class = ProcessWorkerPool if executor == "process" else WorkerPool
+        self._pool = pool_class(
+            self.workers,
+            name="repro-decode",
+            hang_timeout=hang_timeout,
+            faults=faults,
+        )
         self._cond = threading.Condition()
         #: group key -> _Bucket; insertion order ~ first pending.
         self._buckets: "OrderedDict[tuple, _Bucket]" = OrderedDict()
@@ -643,6 +656,11 @@ class DecodeService:
     def metrics_snapshot(self) -> dict:
         """Service metrics plus plan-cache and worker-pool statistics.
 
+        ``worker_pool`` carries the resolved ``executor`` and
+        ``workers``; under processes it adds the workers' own peak RSS
+        (``worker_peak_rss_mb``, ``workers_peak_rss_mb_total``), which
+        the parent's RSS does not include.
+
         ``batches_in_flight`` counts pool submissions not yet finished
         (at most ``workers``, plus retries); it reads 0 on an idle or
         closed service.  With a decode policy configured, per-rule
@@ -654,7 +672,7 @@ class DecodeService:
         with self._cond:
             snapshot["batches_in_flight"] = self._in_flight
         snapshot["plan_cache"] = self.cache.stats()
-        snapshot["worker_pool"] = self._pool.stats()
+        snapshot["worker_pool"] = dict(executor=self.executor, **self._pool.stats())
         if self.decode_policy is not None:
             snapshot["policy"] = self.metrics.policy_snapshot()
         return snapshot

@@ -85,3 +85,30 @@ class TestValidation:
             j=3, k=8, z=32, name="t", seed=0, info_column_degree=10
         )
         assert base.column_degrees()[:5].max() <= 3
+
+
+class TestRegistryBytes:
+    #: SHA-1 over every registry mode's name, shape and base-matrix
+    #: entries, in ``list_modes()`` order, recorded before the 4-cycle
+    #: guard became incremental: the guard must give the same answers,
+    #: hence the same RNG draws and the same bytes, for every mode.
+    DIGEST = "65be459728721917bfeec1cc39fa57befaa7aadd"
+
+    def test_every_registry_base_matrix_is_pinned(self):
+        import hashlib
+
+        from repro.codes import list_modes
+        from repro.codes.registry import base_matrix
+
+        digest = hashlib.sha1()
+        modes = list_modes()
+        for descriptor in modes:
+            base = base_matrix(descriptor.mode)
+            digest.update(
+                f"{descriptor.mode}|{base.name}|{base.z}|{base.entries.shape}".encode()
+            )
+            digest.update(
+                np.ascontiguousarray(base.entries, dtype="<i8").tobytes()
+            )
+        assert len(modes) == 231
+        assert digest.hexdigest() == self.DIGEST

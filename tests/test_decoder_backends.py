@@ -121,14 +121,16 @@ FRONT_DOORS = {
     "sweep": (
         "SweepEngine(code, seed=1).run([3.0], max_frames=4, batch_size=4)"
     ),
+    # Threads: the backend spy above sees the parent's builds only.
     "service": (
-        "with DecodeService(workers=1) as service:\n"
+        "with DecodeService(workers=1, executor='thread') as service:\n"
         "    served = service.submit(MODE, llr).result(timeout=60)\n"
         "    assert served.batch_size == 2"
     ),
     # The low, mid and high rules of the default policy.
     "policy": (
-        "with DecodeService(workers=1, policy=DecodePolicy()) as service:\n"
+        "with DecodeService(workers=1, executor='thread',\n"
+        "                   policy=DecodePolicy()) as service:\n"
         "    for snr_db in (0.0, 3.0, 6.0):\n"
         "        service.submit(MODE, llr, snr_db=snr_db).result(timeout=60)\n"
         "    rules = service.metrics_snapshot()['policy']['rules']\n"

@@ -15,13 +15,18 @@ properties only a process pool has to prove:
    caller the same live pool, and repeated sweeps through it spawn no
    new processes — the regression that made the seed-era parallel
    sweep slower than serial.
+
+Workers fork on demand (none at construction, one more only while every
+live worker is busy) and die with their parent.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -192,6 +197,79 @@ class TestProcessPoolBasics:
             assert stats["tasks_completed"] == 3
             assert stats["processes_spawned"] == 1
             assert stats["crashes_detected"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Workers fork on demand
+# ---------------------------------------------------------------------------
+def _running(pid: int) -> bool:
+    """False once ``pid`` has exited (reaped or a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
+class TestOnDemandFork:
+    def test_construction_forks_nothing(self):
+        with ProcessWorkerPool(2) as pool:
+            assert pool.processes_spawned == 0
+            assert pool.pids() == []
+            assert pool.stats()["worker_peak_rss_mb"] == 0.0
+
+    def test_sequential_tasks_share_one_worker(self):
+        with ProcessWorkerPool(2) as pool:
+            for _ in range(4):
+                assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
+            assert pool.processes_spawned == 1
+
+    def test_a_second_worker_forks_only_while_the_first_is_busy(self):
+        with ProcessWorkerPool(2) as pool:
+            busy = pool.submit("sleep", {"seconds": 0.5})
+            assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
+            assert pool.processes_spawned == 2
+            assert busy.result(timeout=TIMEOUT) == "slept"
+            # Never more than ``workers``, however many tasks queue.
+            futures = [pool.submit("sleep", {"seconds": 0.05}) for _ in range(5)]
+            for future in futures:
+                assert future.result(timeout=TIMEOUT) == "slept"
+            assert pool.processes_spawned == 2
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").is_file(), reason="needs procfs"
+    )
+    def test_a_task_queued_behind_a_dead_idle_worker_runs(self):
+        # No supervisor polls here: the pass below is the only one.
+        with ProcessWorkerPool(1, supervise_interval=3600.0) as pool:
+            pool.submit("ping").result(timeout=TIMEOUT)
+            [pid] = pool.pids()
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + TIMEOUT
+            while _running(pid):
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            # The dead worker still fills the pool: the task queues.
+            future = pool.submit("ping")
+            assert pool.processes_spawned == 1
+            pool.check_workers()  # reap, respawn, hand over the task
+            assert future.result(timeout=TIMEOUT) == "pong"
+            stats = pool.stats()
+            assert stats["crashes_detected"] == 1
+            assert stats["processes_spawned"] == 2
+
+    def test_each_worker_reports_its_own_peak_rss(self):
+        with ProcessWorkerPool(2) as pool:
+            busy = pool.submit("sleep", {"seconds": 0.3})
+            pool.submit("ping").result(timeout=TIMEOUT)
+            busy.result(timeout=TIMEOUT)
+            stats = pool.stats()
+        assert stats["worker_peak_rss_mb"] > 0.0
+        assert (
+            stats["worker_peak_rss_mb"]
+            < stats["workers_peak_rss_mb_total"]
+            <= 2 * stats["worker_peak_rss_mb"]
+        )
 
 
 # ---------------------------------------------------------------------------

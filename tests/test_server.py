@@ -420,8 +420,9 @@ class TestDecodeServer:
         assert field in str(exc)
 
     def test_deadline_crosses_the_wire_as_deadline_exceeded(self):
-        service = DecodeService(
-            max_batch=4, max_wait=0.001, workers=1, default_config=CONFIG
+        service = DecodeService(  # a thread worker, wedged by gate.wait
+            max_batch=4, max_wait=0.001, workers=1, executor="thread",
+            default_config=CONFIG,
         )
         gate = threading.Event()
 
@@ -476,8 +477,9 @@ class TestDecodeServer:
         # will never resolve: close() must abandon the laggard request
         # and fail the remote waiter via the closing connection, not
         # block forever on it.
-        service = DecodeService(
-            max_batch=4, max_wait=0.001, workers=1, default_config=CONFIG
+        service = DecodeService(  # a thread worker, wedged by gate.wait
+            max_batch=4, max_wait=0.001, workers=1, executor="thread",
+            default_config=CONFIG,
         )
         gate = threading.Event()
 
@@ -507,8 +509,9 @@ class TestDecodeServer:
         assert elapsed < 5  # bounded by drain_timeout, not the worker
 
     def test_closed_client_fails_pending_instead_of_hanging(self):
-        service = DecodeService(
-            max_batch=4, max_wait=0.001, workers=1, default_config=CONFIG
+        service = DecodeService(  # a thread worker, wedged by gate.wait
+            max_batch=4, max_wait=0.001, workers=1, executor="thread",
+            default_config=CONFIG,
         )
         gate = threading.Event()
 

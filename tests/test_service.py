@@ -598,8 +598,8 @@ class TestDecodeService:
             DecodeService(iteration_slice=2)
 
     def test_warm_modes_make_first_requests_hits(self):
-        with DecodeService(
-            default_config=FLOAT_CONFIG, max_wait=0.001,
+        with DecodeService(  # threads decode from the warmed cache
+            default_config=FLOAT_CONFIG, max_wait=0.001, executor="thread",
             warm_modes=[WIMAX, WIFI],
         ) as svc:
             svc.submit(WIMAX, _llr(WIMAX, 1, seed=19)).result(timeout=60)
@@ -653,8 +653,9 @@ class TestDecodeService:
             raise RuntimeError("injected decode failure")
 
         entry.decoder.decode = boom
-        with DecodeService(
-            cache=cache, default_config=FLOAT_CONFIG, max_wait=0.001
+        with DecodeService(  # threads decode from the poisoned cache
+            cache=cache, default_config=FLOAT_CONFIG, max_wait=0.001,
+            executor="thread",
         ) as svc:
             future = svc.submit(WIMAX, _llr(WIMAX, 1, seed=30))
             with pytest.raises(RuntimeError, match="injected"):
@@ -729,11 +730,11 @@ class TestDeadlines:
         import time as _time
 
         with DecodeService(
-            max_batch=64, max_wait=30.0, workers=1,
+            max_batch=64, max_wait=30.0, workers=1, executor="thread",
             default_config=FLOAT_CONFIG, default_timeout=0.15,
         ) as svc:
             gate = threading.Event()
-            svc._pool.submit(gate.wait)  # occupy the only worker
+            svc._pool.submit(gate.wait)  # occupy the only worker thread
             future = svc.submit(WIMAX, _llr(WIMAX, 1, seed=50))
             t0 = _time.monotonic()
             with pytest.raises(DeadlineExceeded):
@@ -744,11 +745,11 @@ class TestDeadlines:
 
     def test_explicit_timeout_overrides_default(self):
         with DecodeService(
-            max_batch=4, max_wait=0.001, workers=2,
+            max_batch=4, max_wait=0.001, workers=2, executor="thread",
             default_config=FLOAT_CONFIG, default_timeout=0.001,
         ) as svc:
             gate = threading.Event()
-            svc._pool.submit(gate.wait)
+            svc._pool.submit(gate.wait)  # wedge both worker threads
             svc._pool.submit(gate.wait)
             future = svc.submit(WIMAX, _llr(WIMAX, 1, seed=51), timeout=60.0)
             gate.set()

@@ -262,8 +262,8 @@ def test_cache_drop_mid_flight_is_correctness_neutral():
     cache = PlanCache(maxsize=4, default_config=CONFIG, faults=plan)
     llr = _llr(WIMAX, 2, seed=43)
     expected = _direct(WIMAX, llr)
-    with DecodeService(
-        max_batch=2, max_wait=0.001, workers=1,
+    with DecodeService(  # threads decode from the faulted cache
+        max_batch=2, max_wait=0.001, workers=1, executor="thread",
         cache=cache, default_config=CONFIG,
     ) as svc:
         futures = [svc.submit(WIMAX, llr) for _ in range(6)]

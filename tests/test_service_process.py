@@ -11,6 +11,14 @@ this file covers the executor-specific service plumbing.
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +33,7 @@ WIMAX = "802.16e:1/2:z24"
 WIFI = "802.11n:1/2:z27"
 CONFIG = DecoderConfig(backend="fast")
 TIMEOUT = 120
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _llr(mode: str, frames: int, seed: int) -> np.ndarray:
@@ -97,7 +106,9 @@ class TestProcessExecutorBasics:
         assert snapshot["batches_offloaded"] >= 1
         assert snapshot["batches_offloaded"] == snapshot["batches_dispatched"]
         pool = snapshot["worker_pool"]
-        assert pool["processes_spawned"] >= 2
+        # Workers fork on demand: at least one decoded, never more
+        # than the pool's two.
+        assert 1 <= pool["processes_spawned"] <= 2
         assert pool["tasks_completed"] >= 1
         assert pool["segments_created"] >= 1
 
@@ -241,3 +252,239 @@ class TestProcessExecutorFrontDoors:
             result = service.submit(WIMAX, llr).result(timeout=TIMEOUT)
         assert np.array_equal(result.bits, expected.bits)
         assert np.array_equal(result.llr, expected.llr)
+
+
+# ---------------------------------------------------------------------------
+# The default: processes on two or more cores, one thread on one core
+# ---------------------------------------------------------------------------
+#: In a fresh interpreter, optionally pinned to the CPUs in argv[1],
+#: builds one service per keyword set in argv[2] and prints how each
+#: resolved.
+RESOLVE = """
+import json, os, sys
+cpus = json.loads(sys.argv[1])
+if cpus:
+    os.sched_setaffinity(0, cpus)
+from repro.service import DecodeService
+resolved = []
+for kwargs in json.loads(sys.argv[2]):
+    with DecodeService(**kwargs) as service:
+        pool = service.metrics_snapshot()["worker_pool"]
+        assert (pool["executor"], pool["workers"]) == (
+            service.executor, service.workers)
+        resolved.append([service.executor, service.workers,
+                         pool.get("processes_spawned")])
+print(json.dumps(resolved))
+"""
+
+
+def _python(script: str, *args: str, **popen) -> "subprocess.Popen":
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (str(ROOT / "src"), env.get("PYTHONPATH")) if path
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args], env=env, text=True, **popen
+    )
+
+
+def _resolve(cpus: list, *kwarg_sets: dict) -> list:
+    proc = _python(
+        RESOLVE, json.dumps(cpus), json.dumps(kwarg_sets),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(timeout=TIMEOUT)
+    assert proc.returncode == 0, err
+    return [tuple(entry) for entry in json.loads(out)]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity"
+)
+class TestExecutorDefault:
+    def test_one_core_resolves_to_one_thread(self):
+        cpu = min(os.sched_getaffinity(0))
+        assert _resolve([cpu], {}, {"executor": "process"}, {"workers": 3}) == [
+            ("thread", 1, None),
+            ("process", 1, 0),  # explicit settings come back as given
+            ("thread", 3, None),
+        ]
+
+    def test_two_or_more_cores_resolve_to_one_process_per_core(self):
+        cores = len(os.sched_getaffinity(0))
+        if cores < 2:
+            pytest.skip("needs two usable cores")
+        assert _resolve([], {}, {"executor": "thread"}, {"workers": 1}) == [
+            ("process", cores, 0),  # never decoded, never forked
+            ("thread", cores, None),
+            ("process", 1, 0),
+        ]
+
+
+class TestOnDemandWorkers:
+    @staticmethod
+    def _spawned(service) -> int:
+        return service.metrics_snapshot()["worker_pool"]["processes_spawned"]
+
+    def test_a_service_that_never_decodes_forks_nothing(self):
+        with _service() as service:
+            assert self._spawned(service) == 0
+        with DecodeService() as default:
+            if default.executor == "process":
+                assert self._spawned(default) == 0
+
+    def test_second_worker_forks_only_when_a_batch_falls_due_while_busy(self):
+        # Worker task #2 stalls 0.5 s in the child before decoding.
+        plan = FaultPlan(worker_hang=[2], hang_duration=0.5)
+        with _service(faults=plan, max_wait=0.001) as service:
+            for seed in range(2):
+                service.submit(WIMAX, _llr(WIMAX, 1, seed=seed)).result(
+                    timeout=TIMEOUT
+                )
+            assert self._spawned(service) == 1  # one at a time: one worker
+            slow = service.submit(WIMAX, _llr(WIMAX, 1, seed=2))
+            deadline = time.monotonic() + 30
+            while service.metrics_snapshot()["batches_in_flight"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            assert self._spawned(service) == 1
+            # Another client, so FIFO delivery does not hold it back.
+            fast = service.submit(WIFI, _llr(WIFI, 1, seed=3), client="b")
+            assert fast.result(timeout=TIMEOUT).batch_size == 1
+            assert not slow.done()  # the first worker is still stalled
+            assert self._spawned(service) == 2
+            slow.result(timeout=TIMEOUT)
+
+    def test_worker_memory_is_exported(self):
+        with _service() as service:
+            service.submit(WIMAX, _llr(WIMAX, 1, seed=5)).result(timeout=TIMEOUT)
+            pool = service.metrics_snapshot()["worker_pool"]
+            text = service.metrics_text()
+        assert pool["worker_peak_rss_mb"] > 0.0
+        assert pool["workers_peak_rss_mb_total"] >= pool["worker_peak_rss_mb"]
+        assert 'repro_worker_pool_executor{executor="process"} 1' in text
+        assert "repro_worker_pool_workers 2" in text
+        assert "repro_worker_pool_worker_peak_rss_mb " in text
+
+
+# ---------------------------------------------------------------------------
+# Workers die with their parent
+# ---------------------------------------------------------------------------
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover — no procfs
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _children(pid: int) -> list:
+    """Live child pids of ``pid``, read from procfs ([] without one)."""
+    found = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+            found.append(int(entry.name))
+    return found
+
+
+def _cmdline(pid: int) -> str:
+    try:
+        return (Path("/proc") / str(pid) / "cmdline").read_text().replace("\0", " ")
+    except OSError:
+        return ""
+
+
+def _wait_gone(pids, seconds: float) -> list:
+    deadline = time.monotonic() + seconds
+    while True:
+        left = [pid for pid in pids if _alive(pid)]
+        if not left or time.monotonic() > deadline:
+            return left
+        time.sleep(0.02)
+
+
+#: Owns a two-worker process service, decodes once on each worker,
+#: prints the worker pids and waits to be killed.
+OWNER = """
+import time
+import numpy as np
+from repro.codes import get_code
+from repro.service import DecodeService
+service = DecodeService(executor="process", workers=2, max_wait=0.001)
+busy = service._pool.submit("sleep", {"seconds": 0.3})
+llr = np.full((1, get_code("802.16e:1/2:z24").n), 4.0)
+service.submit("802.16e:1/2:z24", llr).result(timeout=60)
+busy.result(timeout=60)
+print(" ".join(map(str, service._pool.pids())), flush=True)
+time.sleep(600)
+"""
+
+
+class TestWorkersDieWithTheirParent:
+    def test_sigkilled_owner_leaves_no_worker(self):
+        owner = _python(OWNER, stdout=subprocess.PIPE)
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+            owner.kill()
+            owner.wait(timeout=TIMEOUT)
+            assert _wait_gone(pids, 5.0) == []
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            owner.stdout.close()
+
+    @pytest.mark.skipif(
+        not (ROOT / "perfbench" / "run.py").is_file()
+        or not Path("/proc/self/stat").is_file(),
+        reason="needs perfbench and procfs",
+    )
+    @pytest.mark.parametrize("when", ["first_worker", "first_accept"])
+    def test_terminated_server_leaves_nothing_behind(self, when):
+        # perfbench's wire_mix stops its first servers right after their
+        # first accept.  That SIGTERM can land before serve_forever
+        # installs its handler, and the default action then kills the
+        # server outright.  "first_worker" makes that certain: it
+        # signals mid-warm-up, as soon as the server has forked a
+        # decode worker.
+        server = subprocess.Popen(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--serve"],
+            cwd=ROOT, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            if when == "first_worker":
+                deadline = time.monotonic() + TIMEOUT
+                while not any(
+                    "--serve" in _cmdline(pid) for pid in _children(server.pid)
+                ):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.002)
+                children = _children(server.pid)
+                server.send_signal(signal.SIGTERM)
+            else:
+                port = json.loads(server.stdout.readline())["port"]
+                children = _children(server.pid)
+                with socket.create_connection(("127.0.0.1", port), timeout=30):
+                    server.send_signal(signal.SIGTERM)
+            # Returns once every holder of the server's stdout — its
+            # workers included — has exited.
+            server.communicate(timeout=5)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        if when == "first_worker":
+            assert server.returncode == -signal.SIGTERM
+        assert _wait_gone(children, 5.0) == []
