@@ -32,6 +32,7 @@ from collections.abc import Callable
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
+from pathlib import Path
 
 from repro.errors import WorkerCrashedError
 from repro.runtime.procworker import (
@@ -497,16 +498,69 @@ class _ProcSlot:
     current: "_ProcTask | None" = None
     started: "float | None" = None
     stopping: bool = False  # sentinel sent; clean exit expected
-    peak_rss_mb: float = 0.0  # the worker's own, as of its last result
+
+
+def _cpu_max(directory: Path) -> "float | None":
+    """cgroup v2 ``cpu.max`` (``"<quota> <period>"`` or ``"max …"``)."""
+    quota, period = (directory / "cpu.max").read_text().split()[:2]
+    return None if quota == "max" else int(quota) / int(period)
+
+
+def _cfs_quota(directory: Path) -> "float | None":
+    """cgroup v1 ``cpu.cfs_quota_us`` / ``cpu.cfs_period_us`` (-1: none)."""
+    quota = int((directory / "cpu.cfs_quota_us").read_text())
+    period = int((directory / "cpu.cfs_period_us").read_text())
+    return None if quota < 0 else quota / period
+
+
+def cgroup_cpu_quota(
+    root: str = "/sys/fs/cgroup", membership: str = "/proc/self/cgroup"
+) -> "float | None":
+    """The CPUs' worth of time this process's cgroups allow per period,
+    or ``None`` when no quota applies (or there is no cgroup to read).
+
+    Reads the cgroup v2 ``cpu.max`` or the v1 CFS quota of the process's
+    own cgroup and of each ancestor up to the mount (a container usually
+    sees its own cgroup as the root), and returns the tightest.
+    """
+    try:
+        lines = Path(membership).read_text().splitlines()
+    except OSError:
+        return None
+    quotas = []
+    for line in lines:
+        _hierarchy, controllers, path = line.split(":", 2)
+        if not controllers:
+            base, read = Path(root), _cpu_max
+        elif "cpu" in controllers.split(","):
+            base, read = Path(root) / controllers, _cfs_quota
+        else:
+            continue
+        own = base / path.strip("/")
+        for directory in (own, *own.parents):
+            try:
+                quota = read(directory)
+            except (OSError, ValueError):
+                quota = None
+            if quota is not None:
+                quotas.append(quota)
+            if directory == base:
+                break
+    return min(quotas, default=None)
 
 
 def usable_cores() -> int:
-    """CPUs this process may run on (its affinity mask, where the
-    platform has one), at least 1."""
+    """CPUs this process can keep busy, at least 1: its affinity mask
+    (where the platform has one), capped by the cgroup CPU quota
+    (:func:`cgroup_cpu_quota`) rounded down to whole CPUs."""
     try:
-        return max(1, len(os.sched_getaffinity(0)))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover — no affinity API
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    quota = cgroup_cpu_quota()
+    if quota is not None:
+        cores = min(cores, int(quota))
+    return max(1, cores)
 
 
 def _default_start_method() -> str:
@@ -681,11 +735,9 @@ class ProcessWorkerPool:
         return future
 
     def stats(self) -> dict:
-        """Supervision counters, occupancy, segment accounting, and the
-        workers' memory: ``worker_peak_rss_mb`` is the largest peak RSS
-        any worker has reported, ``workers_peak_rss_mb_total`` the sum
-        over live workers (an upper bound: copy-on-write pages shared
-        with the parent count in each)."""
+        """Supervision counters, occupancy, segment accounting, and
+        ``worker_peak_rss_mb``: the largest peak RSS any worker has
+        reported with a result."""
         with self._lock:
             busy = sum(1 for s in self._slots if s.current is not None)
             out = {
@@ -698,9 +750,6 @@ class ProcessWorkerPool:
                 "processes_spawned": self._spawned,
                 "tasks_completed": self.tasks_completed,
                 "worker_peak_rss_mb": self._worker_peak_rss_mb,
-                "workers_peak_rss_mb_total": sum(
-                    (s.peak_rss_mb for s in self._slots if not s.stopping), 0.0
-                ),
             }
             out.update(self._arena.stats())
             return out
@@ -834,7 +883,6 @@ class ProcessWorkerPool:
                     # segment discarded) — the late message is dropped.
                     continue
                 task, slot = entry
-                slot.peak_rss_mb = peak_rss
                 if slot.current is task:
                     slot.current = None
                     slot.started = None

@@ -31,6 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import resource
+import stat
 import time
 from multiprocessing import connection, shared_memory
 
@@ -272,9 +273,46 @@ def _next_task(tasks, parent_sentinel: int, parent_pid: int):
             return None
 
 
+def _drop_inherited_sockets() -> None:
+    """Point every inherited socket descriptor (stdio aside) at the
+    null device.
+
+    A forked worker holds a copy of each descriptor its parent had open
+    at the fork: in a :class:`~repro.server.DecodeServer`, the listening
+    socket and the client connections of that moment.  While a copy
+    lives, the parent's close sends no FIN and a closed listener keeps
+    completing handshakes into a backlog nobody serves.  The worker's
+    own descriptors (task pipe, result queue, parent sentinel, resource
+    tracker) are pipes.  ``dup2`` rather than ``close``: an inherited
+    socket object the worker later garbage-collects then closes the
+    null device, not whatever the worker has opened under that number.
+    """
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        try:
+            names = os.listdir("/dev/fd")
+        except OSError:  # pragma: no cover — no descriptor listing
+            return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in names:
+            fd = int(name)
+            if fd <= 2 or fd == null:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd, inheritable=False)
+            except OSError:
+                continue  # closed since the listing (the listing's own)
+    finally:
+        os.close(null)
+
+
 def worker_main(worker_id: int, tasks, result_q, cache_size: int) -> None:
     """Pool worker entry point: loop until the ``None`` sentinel arrives
     or the parent dies."""
+    _drop_inherited_sockets()
     parent = multiprocessing.parent_process()
     state = WorkerState(cache_size=cache_size)
     while True:
@@ -312,11 +350,9 @@ def worker_main(worker_id: int, tasks, result_q, cache_size: int) -> None:
 __all__ = [
     "ALIGNMENT",
     "CRASH_EXIT_CODE",
-    "PARENT_POLL_S",
     "TASKS",
     "WorkerState",
     "decode_out_spec",
-    "peak_rss_mb",
     "plan_layout",
     "read_arrays",
     "run_task",

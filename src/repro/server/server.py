@@ -26,12 +26,12 @@ clients, plus the transport-level ones that only exist at a socket:
   decode policy an SNR estimated over transmitted positions only.
   Soft buffers are purged when the connection closes — HARQ state is
   connection-scoped, like TCP sequence numbers.
-- **Graceful drain.**  :meth:`close` (and SIGTERM/SIGINT under
-  :meth:`serve_forever`) stops accepting connections and new requests,
-  waits up to ``drain_timeout`` for in-flight decodes to resolve and
-  their responses to flush, then tears down — matching
-  ``DecodeService.close()``'s every-future-resolves contract on the
-  wire.
+- **Graceful drain.**  :meth:`close` (and SIGTERM/SIGINT, from
+  :meth:`start` on, under :meth:`serve_forever`) stops accepting
+  connections and new requests, waits up to ``drain_timeout`` for
+  in-flight decodes to resolve and their responses to flush, then
+  tears down — matching ``DecodeService.close()``'s
+  every-future-resolves contract on the wire.
 
 Responses are written in *completion* order, tagged with the client's
 request id — pipelined requests on one connection do not head-of-line
@@ -105,6 +105,8 @@ class DecodeServer:
         self.drain_timeout = float(drain_timeout)
         self._server: asyncio.AbstractServer | None = None
         self._stopping = False
+        self._stop: asyncio.Event | None = None  # set by SIGTERM/SIGINT
+        self._signals: list[signal.Signals] = []
         self._conn_count = 0
         self._connections: set[asyncio.Task] = set()
         self._inflight: set[asyncio.Task] = set()
@@ -124,14 +126,38 @@ class DecodeServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "DecodeServer":
-        """Bind and start accepting connections; returns self."""
+    async def start(self, handle_signals: bool = True) -> "DecodeServer":
+        """Bind and start accepting connections; returns self.
+
+        With ``handle_signals`` (the default, main-thread only), SIGTERM
+        and SIGINT from here on request the graceful drain that
+        :meth:`serve_forever` runs: a signal that lands between the bind
+        and ``serve_forever()`` makes it drain at once instead of
+        killing the process.  :meth:`close` removes the handlers.  Pass
+        ``False`` when nothing will run ``serve_forever()``: the
+        handlers only wake it.
+        """
         if self._server is not None:
             raise RuntimeError("DecodeServer is already started")
+        self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
             self._on_connection, self._host, self._requested_port
         )
+        if handle_signals:
+            self._install_signal_handlers()
         return self
+
+    def _install_signal_handlers(self) -> None:
+        main = threading.current_thread() is threading.main_thread()
+        if self._signals or not main:
+            return
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self._stop.set)
+            except (NotImplementedError, RuntimeError):
+                continue
+            self._signals.append(sig)
 
     @property
     def port(self) -> int:
@@ -149,6 +175,11 @@ class DecodeServer:
         if self._stopping:
             return
         self._stopping = True
+        # A second signal during the drain takes the default action.
+        loop = asyncio.get_running_loop()
+        for sig in self._signals:
+            loop.remove_signal_handler(sig)
+        self._signals.clear()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -184,38 +215,30 @@ class DecodeServer:
 
         With ``handle_signals`` (the default, main-thread only) SIGTERM
         and SIGINT trigger the same graceful drain as :meth:`close` —
-        in-flight requests finish, then the process exits cleanly.
+        in-flight requests finish, then the process exits cleanly.  The
+        handlers are installed by :meth:`start`, or here if the server
+        was started without them.
         """
         if self._server is None:
-            await self.start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        installed: list[signal.Signals] = []
-        if handle_signals and threading.current_thread() is threading.main_thread():
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, stop.set)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        try:
-            stopper = asyncio.create_task(stop.wait())
-            closed = asyncio.create_task(self._server.wait_closed())
-            done, pending = await asyncio.wait(
-                {stopper, closed}, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in pending:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
+            await self.start(handle_signals)
+        elif handle_signals:
+            self._install_signal_handlers()
+        stopper = asyncio.create_task(self._stop.wait())
+        closed = asyncio.create_task(self._server.wait_closed())
+        done, pending = await asyncio.wait(
+            {stopper, closed}, return_when=asyncio.FIRST_COMPLETED
+        )
+        for task in pending:
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
         await self.close()
 
     async def __aenter__(self) -> "DecodeServer":
+        # No signal handlers: a block that never runs serve_forever()
+        # keeps the default SIGTERM/SIGINT behaviour.
         if self._server is None:
-            await self.start()
+            await self.start(handle_signals=False)
         return self
 
     async def __aexit__(self, *exc_info) -> None:

@@ -34,7 +34,8 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkerCrashedError
-from repro.runtime import FaultPlan, ProcessWorkerPool, shared_process_pool
+from repro.runtime import FaultPlan, ProcessWorkerPool, parallel, shared_process_pool
+from repro.runtime.parallel import cgroup_cpu_quota, usable_cores
 from repro.runtime.procworker import (
     ALIGNMENT,
     WorkerState,
@@ -264,12 +265,8 @@ class TestOnDemandFork:
             pool.submit("ping").result(timeout=TIMEOUT)
             busy.result(timeout=TIMEOUT)
             stats = pool.stats()
+        assert stats["processes_spawned"] == 2
         assert stats["worker_peak_rss_mb"] > 0.0
-        assert (
-            stats["worker_peak_rss_mb"]
-            < stats["workers_peak_rss_mb_total"]
-            <= 2 * stats["worker_peak_rss_mb"]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +459,59 @@ class TestSharedPool:
             assert pool.processes_spawned == spawned
         finally:
             pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Usable cores: the affinity mask, capped by a cgroup CPU quota
+# ---------------------------------------------------------------------------
+def _cgroups(tmp_path, membership: str, files: dict) -> tuple:
+    """A fake cgroup mount plus ``/proc/self/cgroup``; returns both paths."""
+    root = tmp_path / "cgroup"
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    (tmp_path / "membership").write_text(membership)
+    return str(root), str(tmp_path / "membership")
+
+
+class TestUsableCores:
+    def test_v2_quota_is_the_tightest_on_the_path_to_the_root(self, tmp_path):
+        paths = _cgroups(tmp_path, "0::/pods/a\n", {
+            "cpu.max": "max 100000\n",
+            "pods/cpu.max": "150000 100000\n",
+            "pods/a/cpu.max": "400000 100000\n",
+            "other/cpu.max": "50000 100000\n",  # not an ancestor
+        })
+        assert cgroup_cpu_quota(*paths) == 1.5
+
+    def test_v2_max_is_no_quota(self, tmp_path):
+        paths = _cgroups(tmp_path, "0::/\n", {"cpu.max": "max 100000\n"})
+        assert cgroup_cpu_quota(*paths) is None
+
+    def test_v1_cfs_quota_of_the_cpu_hierarchy(self, tmp_path):
+        membership = "5:memory:/m\n4:cpu,cpuacct:/\n0::/\n"
+        files = {
+            "cpu,cpuacct/cpu.cfs_quota_us": "100000\n",
+            "cpu,cpuacct/cpu.cfs_period_us": "100000\n",
+        }
+        assert cgroup_cpu_quota(*_cgroups(tmp_path, membership, files)) == 1.0
+        files["cpu,cpuacct/cpu.cfs_quota_us"] = "-1\n"
+        assert cgroup_cpu_quota(*_cgroups(tmp_path, membership, files)) is None
+
+    def test_no_cgroup_is_no_quota(self, tmp_path):
+        assert cgroup_cpu_quota(str(tmp_path), str(tmp_path / "absent")) is None
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity"
+    )
+    def test_a_quota_caps_the_affinity_mask_rounded_down(self, monkeypatch):
+        mask = len(os.sched_getaffinity(0))
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
+        assert usable_cores() == mask
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 1.5)
+        assert usable_cores() == 1
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 0.5)
+        assert usable_cores() == 1  # never below one
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: mask + 8.0)
+        assert usable_cores() == mask

@@ -8,6 +8,8 @@ client behaviour runs real sockets on a loopback listener inside
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import threading
 import time
 
@@ -470,6 +472,38 @@ class TestDecodeServer:
 
         result = asyncio.run(_main())
         assert np.array_equal(result.bits, direct.bits)
+
+    def test_start_handles_sigterm_until_close_and_async_with_does_not(self):
+        before = signal.getsignal(signal.SIGTERM)
+
+        async def _main():
+            server = await DecodeServer(default_config=CONFIG).start()
+            during = signal.getsignal(signal.SIGTERM)
+            await server.close()
+            after = signal.getsignal(signal.SIGTERM)
+            async with DecodeServer(default_config=CONFIG):
+                embedded = signal.getsignal(signal.SIGTERM)
+            return during, after, embedded
+
+        during, after, embedded = asyncio.run(_main())
+        assert during is not before
+        assert after is signal.SIG_DFL
+        assert embedded is after
+
+    def test_sigterm_before_serve_forever_drains(self):
+        # The signal lands between start() and serve_forever(), as when
+        # a supervisor stops a server right after its first accept.
+        async def _main():
+            server = await DecodeServer(default_config=CONFIG).start()
+            assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+            os.kill(os.getpid(), signal.SIGTERM)
+            await asyncio.sleep(0)  # the loop runs the handler
+            await asyncio.wait_for(server.serve_forever(), timeout=30)
+            return server
+
+        server = asyncio.run(_main())
+        assert server.service.closed
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
 
     def test_close_abandons_drain_after_timeout_with_hung_worker(self):
         # drain_timeout is a hard bound, even when a wedged worker (no

@@ -26,7 +26,8 @@ import pytest
 from repro.codes import get_code
 from repro.decoder import DecoderConfig, LayeredDecoder
 from repro.errors import DeadlineExceeded, ServiceClosedError
-from repro.runtime import FaultPlan
+from repro.runtime import FaultPlan, parallel
+from repro.runtime.parallel import usable_cores
 from repro.service import DecodeService, PlanCache, RetryPolicy
 
 WIMAX = "802.16e:1/2:z24"
@@ -253,6 +254,88 @@ class TestProcessExecutorFrontDoors:
         assert np.array_equal(result.bits, expected.bits)
         assert np.array_equal(result.llr, expected.llr)
 
+    # A worker forked while the server has sockets open inherits them;
+    # until it lets go, closing a socket in the server sends no FIN and
+    # a closed listener keeps completing handshakes.
+    @staticmethod
+    def _spawned(service) -> int:
+        return service.metrics_snapshot()["worker_pool"]["processes_spawned"]
+
+    def test_connection_open_at_a_fork_gets_eof_after_a_garbage_frame(self):
+        from repro.server import DecodeServer, protocol
+
+        async def scenario():
+            async with DecodeServer(
+                max_wait=0.001, workers=2, default_config=CONFIG,
+                executor="process",
+            ) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                while server.stats["connections_opened"] == 0:
+                    await asyncio.sleep(0.001)
+                assert self._spawned(server.service) == 0
+                await asyncio.wrap_future(
+                    server.service.submit(WIMAX, _llr(WIMAX, 1, seed=7))
+                )
+                assert self._spawned(server.service) == 1
+                writer.write(b"not a frame " * 8)
+                await writer.drain()
+                # The server answers with one ERROR frame and hangs up.
+                reply = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                await writer.wait_closed()
+                return reply
+
+        async def parse(data):
+            stream = asyncio.StreamReader()
+            stream.feed_data(data)
+            stream.feed_eof()
+            return await protocol.read_frame(stream)
+
+        ftype, _, _ = asyncio.run(parse(asyncio.run(scenario())))
+        assert ftype == protocol.FrameType.ERROR
+
+    def test_drain_timeout_fails_waiters_and_frees_the_port_on_a_hung_worker(self):
+        # The process twin of tests/test_server.py's wedged-worker drain
+        # test, on a borrowed service: the only worker forks for the
+        # request, while its connection and the listener are open, then
+        # stalls in the child past the drain timeout.
+        from repro.errors import ProtocolError
+        from repro.server import DecodeClient, DecodeServer
+
+        service = _service(
+            workers=1, max_wait=0.001,
+            faults=FaultPlan(worker_hang=[0], hang_duration=3.0),
+        )
+
+        async def scenario():
+            server = await DecodeServer(
+                service=service, drain_timeout=0.3
+            ).start(handle_signals=False)
+            address = server.address
+            client = await DecodeClient.connect(*address)
+            pending = asyncio.create_task(
+                client.decode(WIMAX, _llr(WIMAX, 1, seed=8))
+            )
+            deadline = time.monotonic() + TIMEOUT
+            while self._spawned(service) == 0:
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.002)
+            t0 = time.monotonic()
+            await asyncio.wait_for(server.close(), timeout=10)
+            elapsed = time.monotonic() - t0
+            with pytest.raises(ProtocolError):
+                await asyncio.wait_for(pending, timeout=1.5)
+            await client.close()
+            with pytest.raises(ConnectionRefusedError):
+                await asyncio.open_connection(*address)
+            return elapsed
+
+        try:
+            elapsed = asyncio.run(scenario())
+        finally:
+            service.close()
+        assert elapsed < 2.0  # bounded by drain_timeout, not the worker
+
 
 # ---------------------------------------------------------------------------
 # The default: processes on two or more cores, one thread on one core
@@ -310,13 +393,20 @@ class TestExecutorDefault:
             ("thread", 3, None),
         ]
 
+    def test_a_one_cpu_quota_resolves_to_one_thread(self, monkeypatch):
+        # A container limited to one CPU may see many in its affinity
+        # mask; there processes lost to one thread.
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 1.0)
+        with DecodeService() as service:
+            assert (service.executor, service.workers) == ("thread", 1)
+
     def test_two_or_more_cores_resolve_to_one_process_per_core(self):
-        cores = len(os.sched_getaffinity(0))
+        cores = usable_cores()
         if cores < 2:
             pytest.skip("needs two usable cores")
         assert _resolve([], {}, {"executor": "thread"}, {"workers": 1}) == [
             ("process", cores, 0),  # never decoded, never forked
-            ("thread", cores, None),
+            ("thread", 1, None),  # threads: one, whatever the cores
             ("process", 1, 0),
         ]
 
@@ -361,7 +451,6 @@ class TestOnDemandWorkers:
             pool = service.metrics_snapshot()["worker_pool"]
             text = service.metrics_text()
         assert pool["worker_peak_rss_mb"] > 0.0
-        assert pool["workers_peak_rss_mb_total"] >= pool["worker_peak_rss_mb"]
         assert 'repro_worker_pool_executor{executor="process"} 1' in text
         assert "repro_worker_pool_workers 2" in text
         assert "repro_worker_pool_worker_peak_rss_mb " in text
@@ -454,14 +543,17 @@ class TestWorkersDieWithTheirParent:
     @pytest.mark.parametrize("when", ["first_worker", "first_accept"])
     def test_terminated_server_leaves_nothing_behind(self, when):
         # perfbench's wire_mix stops its first servers right after their
-        # first accept.  That SIGTERM can land before serve_forever
-        # installs its handler, and the default action then kills the
-        # server outright.  "first_worker" makes that certain: it
-        # signals mid-warm-up, as soon as the server has forked a
-        # decode worker.
+        # first accept, which start() covers: the server drains and
+        # exits 0.  "first_worker" signals mid-warm-up instead, as soon
+        # as the server has forked a decode worker and before it has an
+        # event loop, so the default action kills it; its workers must
+        # still exit.  Either way communicate() returns only once every
+        # holder of the server's stdout, its workers included, has
+        # exited.
         server = subprocess.Popen(
             [sys.executable, str(ROOT / "perfbench" / "run.py"), "--serve"],
-            cwd=ROOT, stdout=subprocess.PIPE, text=True,
+            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
         )
         try:
             if when == "first_worker":
@@ -474,17 +566,23 @@ class TestWorkersDieWithTheirParent:
                 children = _children(server.pid)
                 server.send_signal(signal.SIGTERM)
             else:
+                # Signal at once, from a socket made beforehand: anything
+                # slower (a child scan, a name lookup) gives the server
+                # time to reach serve_forever().
+                client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 port = json.loads(server.stdout.readline())["port"]
-                children = _children(server.pid)
-                with socket.create_connection(("127.0.0.1", port), timeout=30):
+                with client:
+                    client.connect(("127.0.0.1", port))
                     server.send_signal(signal.SIGTERM)
-            # Returns once every holder of the server's stdout — its
-            # workers included — has exited.
-            server.communicate(timeout=5)
+                children = []
+            _, err = server.communicate(timeout=5)
         finally:
             if server.poll() is None:
                 server.kill()
                 server.communicate()
         if when == "first_worker":
             assert server.returncode == -signal.SIGTERM
+        else:
+            assert server.returncode == 0, err
+            assert "leaked" not in err  # the drain unlinked every segment
         assert _wait_gone(children, 5.0) == []
