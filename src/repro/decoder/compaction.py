@@ -18,8 +18,7 @@ supports two modes, selected by ``DecoderConfig(compact_frames=...)``:
 - **uncompacted** (the carry-through baseline): working arrays keep their
   full batch size, stopped frames latch their outputs exactly once, and
   the kernels keep grinding over retired rows until every frame has
-  stopped.  This is the cost model the compaction speedup is measured
-  against in ``benchmarks/bench_throughput.py``.
+  stopped.  This is the cost model compaction saves against.
 
 Both modes produce bit-identical :class:`~repro.decoder.api.DecodeResult`
 contents because every check-node kernel and every monitor update is

@@ -424,7 +424,8 @@ class Link:
         :mod:`repro.runtime.engine`), so a parallel engine gets only
         what this session has already built — compiling a decoder the
         parent process would never run is pure startup latency.
-        ``force_parallel=True`` bypasses the engine's break-even gate.
+        ``force_parallel=True`` bypasses the engine's executor verdict
+        (:func:`~repro.runtime.engine.executor_verdict`).
         """
         serial = workers < 2 and not force_parallel
         return SweepEngine(
@@ -456,9 +457,9 @@ class Link:
 
         Delegates to the unified :class:`~repro.runtime.SweepEngine`:
         deterministic per-chunk RNG streams (independent of sweep order
-        and worker count), the shared process pool behind a measured
-        break-even gate (``workers >= 2`` is a ceiling, not a command;
-        ``force_parallel=True`` bypasses the gate) and JSON
+        and worker count), the shared process pool behind the engine's
+        executor verdict (``workers >= 2`` is a ceiling, not a command;
+        ``force_parallel=True`` bypasses the verdict) and JSON
         ``checkpoint`` resume.  Returns one
         :class:`~repro.analysis.ber.SnrPoint` per grid value.
         """

@@ -32,24 +32,24 @@ invisible in the results:
 
 On top of those, ``workers >= 2`` is a *request*, not a command: the
 engine first decodes one calibration chunk serially (its statistics are
-merged, nothing is wasted), then compares the estimated remaining work
-against the pool's measured dispatch overhead and the machine's actual
-core count, and only takes the process path when parallelism pays —
-otherwise it silently runs serial, so the parallel path is never slower
-than the serial one.  The verdict lands in
-:attr:`SweepEngine.last_decision`; ``force_parallel=True`` bypasses the
-gate for tests and benchmarks that must exercise the pool.  Chunks keep
-their budget-granularity size regardless (the chunk partition *is* the
-RNG stream partition); amortization instead comes from grouping
-consecutive chunks of one point into tasks of roughly
-``target_task_s`` seconds, each returning per-chunk statistics so the
-ordered reduction is untouched.
+merged, nothing is wasted), then estimates the remaining work from it
+and hands that, the task count and the usable cores to
+:func:`executor_verdict`.  The verdict is a pure function of those
+numbers and two documented constants (:data:`TASK_OVERHEAD_S`,
+:data:`PARALLEL_MARGIN_S`), so it probes nothing; the process path is
+taken only when parallelism pays, otherwise the sweep silently runs
+serial.  The verdict lands in :attr:`SweepEngine.last_decision`;
+``force_parallel=True`` bypasses the gate for tests that must exercise
+the pool.  Chunks keep their budget-granularity size regardless (the
+chunk partition *is* the RNG stream partition); amortization instead
+comes from grouping consecutive chunks of one point into tasks of
+roughly ``target_task_s`` seconds, each returning per-chunk statistics
+so the ordered reduction is untouched.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 
@@ -66,7 +66,7 @@ from repro.decoder.layered import LayeredDecoder
 from repro.encoder import make_encoder
 from repro.errors import SimulationError
 from repro.runtime.checkpoint import SweepCheckpoint, chunk_key
-from repro.runtime.parallel import shared_process_pool
+from repro.runtime.parallel import shared_process_pool, usable_cores
 
 #: Decode schedules the engine can build in a worker process.
 SCHEDULES = {"layered": LayeredDecoder, "flooding": FloodingDecoder}
@@ -76,6 +76,16 @@ SCHEDULES = {"layered": LayeredDecoder, "flooding": FloodingDecoder}
 #: checkpointed sweeps quadratic in serialization; batching keeps the
 #: cost linear while bounding work lost to a crash to this many chunks.
 CHECKPOINT_FLUSH_EVERY = 16
+
+#: Seconds one pool task costs on top of its decode work: the descriptor
+#: pickle, the task-pipe and result-queue hops and the wake-ups between
+#: them.  A no-op ``ping`` round trip through a warm pool measured
+#: 0.06–0.15 ms on a 2-vCPU VM; this is the top of that range.
+TASK_OVERHEAD_S = 0.15e-3
+
+#: Seconds of margin for what the per-task cost leaves out: result
+#: pickling, the per-chunk merge and one cold plan compile per worker.
+PARALLEL_MARGIN_S = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +182,35 @@ def decode_chunk(
     return point
 
 
+def executor_verdict(work_s: float, tasks: int, cores: int) -> tuple[str, str]:
+    """``(executor, reason)`` for a sweep with ``work_s`` seconds of
+    serial decode work left in ``tasks`` pool tasks, on ``cores``
+    usable cores.
+
+    ``"process"`` only when the parallel savings, ``work_s·(1 − 1/cores)``,
+    beat the dispatch cost, ``TASK_OVERHEAD_S·tasks + PARALLEL_MARGIN_S``;
+    else ``"serial"``.  A pure function of the calibration numbers, so
+    a loaded host can slow the calibration but never flip the verdict
+    for given numbers.
+    """
+    if cores < 2:
+        return "serial", (
+            f"only {cores} usable core(s); process parallelism cannot "
+            "beat serial"
+        )
+    overhead_s = TASK_OVERHEAD_S * tasks + PARALLEL_MARGIN_S
+    savings_s = work_s * (1.0 - 1.0 / cores)
+    if savings_s > overhead_s:
+        return "process", (
+            f"estimated parallel savings {savings_s:.3f}s > "
+            f"overhead {overhead_s:.3f}s"
+        )
+    return "serial", (
+        f"estimated parallel savings {savings_s:.3f}s <= "
+        f"overhead {overhead_s:.3f}s"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -200,9 +239,11 @@ class SweepEngine:
     workers:
         ``0``/``1`` executes chunks in-process (serial); ``>= 2``
         *requests* the shared persistent process pool of that size —
-        the break-even gate (module docstring) may still choose serial
-        when parallelism cannot pay.  The results are identical either
-        way; the verdict is recorded in :attr:`last_decision`.
+        :func:`executor_verdict` may still choose serial when
+        parallelism cannot pay, and never counts more workers than
+        :func:`~repro.runtime.parallel.usable_cores`.  The results are
+        identical either way; the verdict is recorded in
+        :attr:`last_decision`.
     chunk_frames:
         Frames per work item; defaults to the ``batch_size`` of each run,
         which makes the serial engine check the error budget with the
@@ -224,16 +265,10 @@ class SweepEngine:
         consecutive chunks of one point into each ``sweep_chunks``
         task.  Statistics stay per-chunk, so this affects scheduling
         only, never results.
-    break_even_s:
-        Explicit threshold overriding the measured break-even gate:
-        the process path is taken iff the estimated remaining work is
-        at least this many seconds (and at least two cores are
-        available).  ``None`` (default) compares estimated parallel
-        savings against the pool's measured dispatch overhead instead.
     force_parallel:
         Take the process path whenever there is work to run, skipping
-        the core-count and break-even gates — for tests and benchmarks
-        that must exercise the pool even where it cannot win.
+        :func:`executor_verdict` — for tests that must exercise the
+        pool even where it cannot win.
     pool:
         Optional explicit :class:`~repro.runtime.parallel.ProcessWorkerPool`;
         defaults to :func:`~repro.runtime.parallel.shared_process_pool`
@@ -263,7 +298,6 @@ class SweepEngine:
         decoder=None,
         encoder=None,
         target_task_s: float = 0.05,
-        break_even_s: "float | None" = None,
         force_parallel: bool = False,
         pool=None,
     ):
@@ -281,8 +315,6 @@ class SweepEngine:
             raise SimulationError("chunk_frames must be >= 1")
         if target_task_s <= 0:
             raise SimulationError("target_task_s must be positive")
-        if break_even_s is not None and break_even_s < 0:
-            raise SimulationError("break_even_s must be non-negative")
         self.code = code
         self.config = config if config is not None else DecoderConfig()
         self.schedule = schedule
@@ -293,7 +325,6 @@ class SweepEngine:
         self.chunk_frames = chunk_frames
         self.checkpoint_path = checkpoint_path
         self.target_task_s = float(target_task_s)
-        self.break_even_s = break_even_s
         self.force_parallel = bool(force_parallel)
         #: Executor verdict of the most recent :meth:`run` — executor
         #: chosen, reason, calibration measurements, task sizing.
@@ -482,18 +513,15 @@ class SweepEngine:
         at stake.
         """
         requested = max(2, self.workers)
-        effective = min(requested, os.cpu_count() or 1)
         decision = {
             "executor": "serial",
             "reason": "",
             "requested_workers": requested,
-            "effective_workers": effective,
+            "effective_workers": min(requested, usable_cores()),
             "chunks_per_task": 1,
             "calibration_s": None,
             "frames_per_s": None,
             "estimated_work_s": 0.0,
-            "estimated_overhead_s": None,
-            "break_even_s": self.break_even_s,
         }
         probe = None
         remaining_frames = 0
@@ -547,45 +575,12 @@ class SweepEngine:
         if self.force_parallel:
             decision.update(executor="process", reason="force_parallel")
             return decision, precomputed
-        if effective < 2:
-            decision["reason"] = (
-                f"only {effective} usable core(s); process parallelism "
-                "cannot beat serial"
-            )
-            return decision, precomputed
-        if self.break_even_s is not None:
-            if estimated_work_s >= self.break_even_s:
-                decision.update(
-                    executor="process",
-                    reason=f"estimated work {estimated_work_s:.3f}s >= "
-                           f"break_even_s={self.break_even_s}",
-                )
-            else:
-                decision["reason"] = (
-                    f"estimated work {estimated_work_s:.3f}s < "
-                    f"break_even_s={self.break_even_s}"
-                )
-            return decision, precomputed
-        pool = self._pool
-        if pool is None or getattr(pool, "closed", False):
-            pool = shared_process_pool(requested)
-        task_count = -(-remaining_chunks // chunks_per_task)
-        # Margin for what the overhead probe can't see: result pickling,
-        # per-chunk merge, one cold plan compile per worker.
-        overhead_s = pool.dispatch_overhead() * task_count + 0.05
-        savings_s = estimated_work_s * (1.0 - 1.0 / effective)
-        decision["estimated_overhead_s"] = overhead_s
-        if savings_s > overhead_s:
-            decision.update(
-                executor="process",
-                reason=f"estimated parallel savings {savings_s:.3f}s > "
-                       f"overhead {overhead_s:.3f}s",
-            )
-        else:
-            decision["reason"] = (
-                f"estimated parallel savings {savings_s:.3f}s <= "
-                f"overhead {overhead_s:.3f}s"
-            )
+        executor, reason = executor_verdict(
+            estimated_work_s,
+            -(-remaining_chunks // chunks_per_task),
+            decision["effective_workers"],
+        )
+        decision.update(executor=executor, reason=reason)
         return decision, precomputed
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 import warnings
@@ -473,7 +474,7 @@ class _ShmArena:
 class _ProcTask:
     task_id: int
     kind: str
-    meta: object
+    meta: bytes  # pickled once, in submit
     segment: "shared_memory.SharedMemory | None"
     input_specs: list
     output_specs: list
@@ -654,7 +655,6 @@ class ProcessWorkerPool:
         self._closed = False
         self._spawned = 0
         self._next_task_id = 0
-        self._overhead_s: "float | None" = None
         self.crashes_detected = 0
         self.hangs_detected = 0
         self.respawns = 0
@@ -695,8 +695,11 @@ class ProcessWorkerPool:
         output; otherwise it resolves to the payload alone.  A crashed
         or hung worker fails the future with
         :class:`~repro.errors.WorkerCrashedError`, exactly like
-        :class:`WorkerPool`.
+        :class:`WorkerPool`.  ``meta`` is pickled here, before anything
+        is claimed, so one that does not pickle raises to the caller
+        and the pool keeps serving.
         """
+        meta = pickle.dumps(meta, pickle.HIGHEST_PROTOCOL)
         segment = None
         input_specs: list = []
         output_specs: list = []
@@ -772,23 +775,6 @@ class ProcessWorkerPool:
         """Names of all live shared-memory segments (leak tests)."""
         with self._lock:
             return self._arena.names()
-
-    def dispatch_overhead(self, samples: int = 3) -> float:
-        """Median seconds of one no-op round trip (cached after first call).
-
-        The measured cost of moving a task across the process boundary;
-        the sweep engine's break-even gate compares it against estimated
-        decode work before choosing the parallel path.
-        """
-        if self._overhead_s is None:
-            timings = []
-            for _ in range(max(1, samples)):
-                t0 = time.perf_counter()
-                self.submit("ping").result()
-                timings.append(time.perf_counter() - t0)
-            timings.sort()
-            self._overhead_s = timings[len(timings) // 2]
-        return self._overhead_s
 
     # ------------------------------------------------------------------
     # Parent-side dispatch

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import resource
 import stat
 import time
@@ -127,7 +128,7 @@ class WorkerState:
 # Task functions
 # ---------------------------------------------------------------------------
 def _task_ping(state, meta, inputs):
-    """No-op round trip: measures pool dispatch overhead."""
+    """No-op round trip (pool plumbing tests)."""
     return "pong", {}
 
 
@@ -330,7 +331,8 @@ def worker_main(worker_id: int, tasks, result_q, cache_size: int) -> None:
             if directive.get("hang"):
                 time.sleep(float(directive["hang"]))
         try:
-            payload = run_task(state, kind, meta, shm_spec)
+            # The parent pickled ``meta`` once, in submit.
+            payload = run_task(state, kind, pickle.loads(meta), shm_spec)
         except BaseException as exc:  # noqa: BLE001 — delivered to the future
             try:
                 result_q.put((worker_id, task_id, "error", exc, peak_rss_mb()))

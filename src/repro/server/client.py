@@ -175,8 +175,10 @@ class DecodeClient:
     # ------------------------------------------------------------------
     async def close(self) -> None:
         """Close the connection; pending calls fail rather than hang."""
-        if not self._closed:
-            self._closed = True
+        self._closed = True
+        # Also after the server hung up first: the read loop then marked
+        # the client closed, but the socket is still open.
+        if not self._writer.is_closing():
             self._writer.close()
             with contextlib.suppress(Exception):
                 await self._writer.wait_closed()

@@ -21,6 +21,12 @@ Contracts verified here:
 - every entry of the fast backend's compiled fixed-point ⊞/⊟ fold ROMs
   equals the reference arithmetic, and one read-only ROM set is shared
   by every decoder of a datapath;
+- every kernel slot the fast backend fuses decodes on its own fused
+  kernel: a lost one would fall back to the reference kernel bit for
+  bit, so no output comparison could tell;
+- on the full-size 802.16e and 802.11n modes, 10 iterations with paper
+  ET, Q8.2 BP and min-sum agree across backends bit for bit, and
+  compaction is invisible in both datapaths;
 - the fast layer update's one-call and slice-copy gather/write-back
   forms give exactly the same result;
 - registry selection: ``fast`` by default whatever the environment
@@ -47,6 +53,7 @@ from repro.decoder import (
 )
 from repro.decoder.backends import fast as fast_module
 from repro.decoder.backends import make_backend
+from repro.decoder.backends.base import KERNEL_TABLE
 from repro.decoder.backends.fast import (
     ONE_CALL_MAX_FRAMES,
     FastBackend,
@@ -61,6 +68,21 @@ from tests.conftest import make_noisy_llrs
 
 #: One small mode per supported standard (DMB-T has a single z).
 STANDARD_MODES = ["802.16e:1/2:z24", "802.11n:1/2:z27", "DMB-T:0.4:z127"]
+
+#: Full-size modes of two standards (N = 2304 and 1944).  At 3.5 dB the
+#: paper's early termination retires every frame in 3–4 of 10 iterations.
+FULL_SIZE_MODES = ["802.16e:1/2:z96", "802.11n:1/2:z81"]
+
+#: The fast backend's own kernel for each KERNEL_TABLE slot it fuses
+#: (forward-backward BP runs the shared reference kernels).
+FUSED_KERNELS = {
+    "bp_sumsub_fixed": FastBackend._bp_sumsub_fixed_rom,
+    "bp_sumsub_float": FastBackend._bp_sumsub_phi,
+    "minsum_fixed": FastBackend._minsum_fixed,
+    "minsum_float": FastBackend._minsum_float,
+    "linear_approx_fixed": FastBackend._linear_approx_fixed,
+    "linear_approx_float": FastBackend._linear_approx_float,
+}
 
 #: Documented float tolerances of the fast Φ kernel per call, on the
 #: operating range |λ| <= 20 (see module docstring).
@@ -298,6 +320,81 @@ class TestFixedPointBitExact:
             )
             results.append(FloodingDecoder(code, config).decode(llr))
         self._assert_identical(*results)
+
+
+class TestFullSizeWorkloads:
+    def _workload(self, mode, frames=32):
+        code = get_code(mode)
+        _, _, llr = make_noisy_llrs(code, make_encoder(code), 3.5, frames, 7)
+        return code, llr
+
+    @pytest.mark.parametrize("check_node", ["bp", "normalized-minsum"])
+    @pytest.mark.parametrize("mode", FULL_SIZE_MODES)
+    def test_fixed_point_backends_bit_identical(self, mode, check_node):
+        code, llr = self._workload(mode)
+        ref, fast = decode_pair(
+            code, llr,
+            dict(check_node=check_node, qformat=QFormat(8, 2),
+                 max_iterations=10, early_termination="paper"),
+        )
+        assert ref.et_stopped.all()
+        for field in ("bits", "llr", "iterations", "et_stopped"):
+            assert np.array_equal(getattr(ref, field), getattr(fast, field))
+
+    @pytest.mark.parametrize(
+        "mode, qformat",
+        [("802.16e:1/2:z96", None), ("802.16e:1/2:z24", QFormat(8, 2))],
+        ids=["float-z96", "q8.2-z24"],
+    )
+    def test_compaction_is_invisible(self, mode, qformat):
+        code, llr = self._workload(mode)
+        compacted, carried = (
+            LayeredDecoder(
+                code,
+                DecoderConfig(qformat=qformat, max_iterations=10,
+                              early_termination="paper",
+                              compact_frames=compact),
+            ).decode(llr)
+            for compact in (True, False)
+        )
+        assert compacted.et_stopped.mean() > 0.9
+        for field in ("bits", "llr", "iterations", "et_stopped"):
+            assert np.array_equal(
+                getattr(compacted, field), getattr(carried, field)
+            )
+
+
+class TestFusedKernels:
+    """Each slot the fast backend fuses decodes on its own kernel.
+
+    Losing one would fall back to the reference kernel, bit for bit,
+    so the cross-backend checks cannot see it; only the speed would
+    drop.  This checks which kernel the backend built.
+    """
+
+    @pytest.mark.parametrize(
+        "key, guard_bits",
+        [
+            pytest.param(key, 2, id=f"{slot}-{key[0]}")
+            for key, slot in sorted(KERNEL_TABLE.items(), key=str)
+            if slot in FUSED_KERNELS
+        ]
+        + [pytest.param(("bp", "sum-sub", True), 0, id="bp_sumsub_fixed-guard0")],
+    )
+    def test_fast_backend_runs_its_fused_kernel(
+        self, small_code, key, guard_bits
+    ):
+        check_node, bp_impl, fixed = key
+        config = DecoderConfig(
+            backend="fast",
+            check_node=check_node,
+            bp_impl=bp_impl or "sum-sub",
+            qformat=QFormat(8, 2) if fixed else None,
+            siso_guard_bits=guard_bits,
+        )
+        kernel = FastBackend(DecodePlan(small_code), config)._kernel
+        fused = FUSED_KERNELS[KERNEL_TABLE[key]]
+        assert getattr(kernel, "__func__", kernel) is fused
 
 
 class TestFloatEquivalence:

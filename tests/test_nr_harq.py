@@ -12,6 +12,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.channel import BPSKModulator, ChannelFrontend, make_channel
 from repro.codes import get_code
 from repro.decoder import DecoderConfig, LayeredDecoder
 from repro.encoder import make_encoder
@@ -164,6 +165,40 @@ class TestSession:
         assert not session.transmitted.any()
         with pytest.raises(HarqError):
             session.combined()
+
+
+class TestTrajectory:
+    """IR-HARQ on an NR BG1 mode, 24 blocks rate-matched to half the
+    circular buffer and sent at rv 0, 2, 3, 1: rv0 alone leaves frame
+    errors, and each combined re-decode leaves no more than the last."""
+
+    @pytest.mark.parametrize(
+        "channel, ebn0_db", [("awgn", 1.0), ("rayleigh", 4.0)]
+    )
+    def test_fer_falls_with_every_redundancy_version(self, channel, ebn0_db):
+        code = get_code("NR:bg1:z8")
+        matcher = NRRateMatcher(code)
+        e = matcher.ncb // 2
+        rng = np.random.default_rng(7)
+        payload = rng.integers(0, 2, (24, matcher.n_payload), dtype=np.uint8)
+        codewords = make_encoder(code).encode(matcher.place_fillers(payload))
+        session = HarqSession(
+            code, DecoderConfig(early_termination="paper-or-syndrome")
+        )
+        fers = []
+        for rv in (0, 2, 3, 1):
+            frontend = ChannelFrontend(
+                BPSKModulator(),
+                make_channel(channel, ebn0_db, matcher.n_payload / e, 1, rng=rng),
+            )
+            result = session.receive(
+                frontend.run(matcher.rate_match(codewords, rv, e)), rv
+            )
+            decoded = matcher.extract_payload(result.bits[:, : code.n_info])
+            fers.append(float((decoded != payload).any(axis=1).mean()))
+        assert fers[0] > 0.0, fers
+        assert all(a >= b for a, b in zip(fers, fers[1:])), fers
+        assert fers[-1] < fers[0], fers
 
 
 class TestManager:

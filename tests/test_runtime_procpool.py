@@ -183,11 +183,30 @@ class TestProcessPoolBasics:
             pool.submit("scale", {}, arrays={"x": np.ones(4)})
         pool.shutdown()  # idempotent
 
-    def test_dispatch_overhead_is_measured_once(self):
-        with ProcessWorkerPool(1) as pool:
-            first = pool.dispatch_overhead()
-            assert first > 0.0
-            assert pool.dispatch_overhead() == first
+    def test_unpicklable_meta_raises_to_the_caller_and_the_pool_serves_on(
+        self,
+    ):
+        # The task queues behind a busy worker, so a pool that pickled
+        # it at assignment would fail on its collector thread: the
+        # sleep would never resolve, nor would anything after it (and
+        # a draining shutdown would wait for them for good).
+        pool = ProcessWorkerPool(1)
+        try:
+            busy = pool.submit("sleep", {"seconds": 0.3})
+            # PicklingError or AttributeError, by Python version.
+            with pytest.raises(Exception, match="pickle"):
+                pool.submit("echo", {"callback": lambda: None})
+            with pytest.raises(Exception, match="pickle"):
+                pool.submit(
+                    "scale", {"f": lambda: None}, arrays={"x": np.ones(4)}
+                )
+            assert pool.submit("ping").result(timeout=5) == "pong"
+            assert busy.result(timeout=5) == "slept"
+            stats = pool.stats()
+            assert (stats["busy"], stats["queued"]) == (0, 0)
+            assert stats["segments_created"] == 0
+        finally:
+            pool.shutdown(wait=False)
 
     def test_stats_account_for_completed_tasks(self):
         with ProcessWorkerPool(1) as pool:

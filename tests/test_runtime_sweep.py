@@ -25,7 +25,13 @@ from repro.runtime import (
     plan_chunks,
     point_key,
 )
+from repro.runtime import engine as engine_mod
 from repro.runtime.checkpoint import SweepCheckpoint
+from repro.runtime.engine import (
+    PARALLEL_MARGIN_S,
+    TASK_OVERHEAD_S,
+    executor_verdict,
+)
 
 EBN0 = [1.5, 3.0]
 BUDGET = dict(max_frames=60, min_frame_errors=8, batch_size=20)
@@ -328,13 +334,51 @@ class TestEngineValidation:
             SweepEngine(small_code, chunk_frames=0)
 
 
-class TestExecutorGate:
-    """The break-even gate and the forced process path (ROADMAP 2a)."""
+class TestExecutorVerdict:
+    """The sweep's executor verdict on fixed calibration numbers: a pure
+    function, so no host load can flip these."""
 
-    def _pool(self):
+    def test_short_sweep_runs_serial(self):
+        # 50 ms of work left on two cores saves 25 ms: under the margin.
+        executor, reason = executor_verdict(0.05, 2, 2)
+        assert executor == "serial"
+        assert "<=" in reason
+
+    def test_long_sweep_fans_out(self):
+        executor, reason = executor_verdict(1.0, 10, 2)
+        assert executor == "process"
+        assert ">" in reason
+
+    def test_savings_equal_to_the_overhead_run_serial(self):
+        tasks = 4
+        overhead_s = TASK_OVERHEAD_S * tasks + PARALLEL_MARGIN_S
+        assert executor_verdict(2 * overhead_s, tasks, 2)[0] == "serial"
+        assert executor_verdict(2.01 * overhead_s, tasks, 2)[0] == "process"
+
+    def test_every_task_costs_dispatch(self):
+        # Same work: ten tasks pay, ten thousand do not.
+        assert executor_verdict(0.5, 10, 2)[0] == "process"
+        assert executor_verdict(0.5, 10_000, 2)[0] == "serial"
+
+    def test_more_cores_save_more(self):
+        work_s = 1.5 * PARALLEL_MARGIN_S
+        assert executor_verdict(work_s, 1, 2)[0] == "serial"
+        assert executor_verdict(work_s, 1, 4)[0] == "process"
+
+    @pytest.mark.parametrize("cores", [0, 1])
+    def test_one_core_never_fans_out(self, cores):
+        executor, reason = executor_verdict(1e6, 1, cores)
+        assert executor == "serial"
+        assert "usable core" in reason
+
+
+class TestExecutorGate:
+    """The sweep's executor choice and the forced process path."""
+
+    def _pool(self, workers=2):
         from repro.runtime import ProcessWorkerPool
 
-        return ProcessWorkerPool(2)
+        return ProcessWorkerPool(workers)
 
     def test_serial_engine_records_trivial_decision(self, small_code):
         engine = SweepEngine(small_code, seed=9)
@@ -362,52 +406,60 @@ class TestExecutorGate:
         assert decision["calibration_s"] > 0.0
         assert decision["frames_per_s"] > 0.0
 
-    def test_break_even_threshold_forces_serial(self, small_code, monkeypatch):
-        # Pretend the box has cores (the core-count gate would otherwise
-        # preempt the threshold on single-CPU runners): an absurd
-        # threshold still picks serial, with exact statistics.
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        engine = SweepEngine(
-            small_code, seed=9, workers=2, break_even_s=1e9
-        )
-        gated = engine.run(EBN0, **BUDGET)
-        assert engine.last_decision["executor"] == "serial"
-        assert "break_even_s" in engine.last_decision["reason"]
-        serial = SweepEngine(small_code, seed=9).run(EBN0, **BUDGET)
-        assert _dicts(gated) == _dicts(serial)
+    def test_a_serial_verdict_touches_no_pool(self, small_code, monkeypatch):
+        # One chunk in all: the calibration decodes it, no work is left,
+        # and deciding so must not fork a worker.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial verdict must not touch a pool")
 
-    def test_break_even_zero_takes_the_process_path(
+        monkeypatch.setattr(engine_mod, "usable_cores", lambda: 2)
+        monkeypatch.setattr(engine_mod, "shared_process_pool", no_pool)
+        engine = SweepEngine(small_code, seed=9, workers=2)
+        [point] = engine.run([3.0], max_frames=20, batch_size=20)
+        assert point.frames == 20
+        assert engine.last_decision["executor"] == "serial"
+        assert engine.last_decision["estimated_work_s"] == 0.0
+
+    def test_process_verdict_takes_the_process_path(
         self, small_code, monkeypatch
     ):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        # Free dispatch: any work left makes the verdict "process".
+        monkeypatch.setattr(engine_mod, "usable_cores", lambda: 2)
+        monkeypatch.setattr(engine_mod, "TASK_OVERHEAD_S", 0.0)
+        monkeypatch.setattr(engine_mod, "PARALLEL_MARGIN_S", 0.0)
         serial = SweepEngine(small_code, seed=9).run(EBN0, **BUDGET)
         with self._pool() as pool:
-            engine = SweepEngine(
-                small_code, seed=9, workers=2, break_even_s=0.0, pool=pool
-            )
+            engine = SweepEngine(small_code, seed=9, workers=2, pool=pool)
             taken = engine.run(EBN0, **BUDGET)
             assert engine.last_decision["executor"] == "process"
+            assert pool.processes_spawned >= 1
         assert _dicts(taken) == _dicts(serial)
 
     def test_single_core_box_falls_back_to_serial(
         self, small_code, monkeypatch
     ):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        # An affinity mask of one CPU (``taskset -c 0``) on a box that
+        # has more: the engine counts usable cores, not the box's.
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr(engine_mod, "usable_cores", lambda: 1)
         engine = SweepEngine(small_code, seed=9, workers=4)
         engine.run(EBN0, **BUDGET)
         assert engine.last_decision["executor"] == "serial"
+        assert engine.last_decision["effective_workers"] == 1
         assert "usable core" in engine.last_decision["reason"]
 
     def test_forced_process_is_bit_identical_to_serial(self, small_code):
         serial = SweepEngine(small_code, seed=9).run(EBN0, **BUDGET)
-        with self._pool() as pool:
-            engine = SweepEngine(
-                small_code, seed=9, workers=2, force_parallel=True, pool=pool
-            )
-            forced = engine.run(EBN0, **BUDGET)
-            assert engine.last_decision["executor"] == "process"
-            assert engine.last_decision["reason"] == "force_parallel"
-            assert _dicts(forced) == _dicts(serial)
+        for workers in (2, 4):
+            with self._pool(workers) as pool:
+                engine = SweepEngine(
+                    small_code, seed=9, workers=workers, force_parallel=True,
+                    pool=pool,
+                )
+                forced = engine.run(EBN0, **BUDGET)
+                assert engine.last_decision["executor"] == "process"
+                assert engine.last_decision["reason"] == "force_parallel"
+                assert _dicts(forced) == _dicts(serial)
 
     def test_chunk_grouping_preserves_statistics(self, small_code):
         # A huge target task size packs every chunk of a point into one
@@ -483,8 +535,6 @@ class TestExecutorGate:
     def test_gate_parameter_validation(self, small_code):
         with pytest.raises(SimulationError):
             SweepEngine(small_code, target_task_s=0.0)
-        with pytest.raises(SimulationError):
-            SweepEngine(small_code, break_even_s=-1.0)
 
 
 class TestFadingSweeps:

@@ -8,10 +8,12 @@ client behaviour runs real sockets on a loopback listener inside
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -567,6 +569,30 @@ class TestDecodeServer:
             _serve(scenario, service=service)
         finally:
             service.close()
+
+    def test_close_after_the_server_hung_up_closes_the_socket(self):
+        async def scenario():
+            async def hang_up(reader, writer):
+                writer.close()
+
+            listener = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            async with listener:
+                host, port = listener.sockets[0].getsockname()[:2]
+                client = await DecodeClient.connect(host, port)
+                with pytest.raises(ProtocolError):
+                    await asyncio.wait_for(
+                        client.decode(WIMAX, _llr(1, seed=38)), 30
+                    )
+                await client.close()
+                return client._writer.transport.is_closing()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            closed = asyncio.run(scenario())
+            gc.collect()
+        assert closed
+        unclosed = [w for w in caught if "unclosed transport" in str(w.message)]
+        assert unclosed == []
 
     def test_server_validates_max_inflight(self):
         with pytest.raises(ValueError):

@@ -360,13 +360,14 @@ class TestPolicyService:
         assert rules["low-snr-float"]["selections"] == 1
         assert rules["mid-snr-fixed"]["selections"] == 1
         assert rules["high-snr-minsum"]["selections"] == 1
-        # Selected configs decode exactly as a direct decoder would.
-        _, high_cfg = DecodePolicy().select(6.0, service.default_config)
-        _assert_identical(
-            results["high"],
-            LayeredDecoder(code, high_cfg).decode(streams["high"][1]),
-            "high-snr rule",
-        )
+        # Each rule's config decodes exactly as a direct decoder would.
+        for label, (snr, llr) in streams.items():
+            _, rule_cfg = DecodePolicy().select(snr, service.default_config)
+            _assert_identical(
+                results[label],
+                LayeredDecoder(code, rule_cfg).decode(llr),
+                f"{label}-snr rule",
+            )
         # Iteration accounting: executed <= the static-config budget,
         # and the savings gauge reflects it.
         assert 0 < snap["iterations_executed"] <= snap[
@@ -440,6 +441,7 @@ class TestPolicyService:
             "repro_energy_pj_total",
             "repro_energy_per_bit_pj",
             "repro_avg_iterations",
+            "repro_policy_iteration_savings_pct",
         ):
             assert gauge in text, gauge
 
