@@ -150,7 +150,7 @@ class ServiceClosedError(ServiceError, ValueError):
 
 
 class WorkerCrashedError(ServiceError):
-    """A worker thread died or hung while holding in-flight work.
+    """A worker thread or process died or hung while holding in-flight work.
 
     The supervised :class:`~repro.runtime.WorkerPool` delivers this to
     the futures of the work the lost worker held; the pool itself

@@ -10,14 +10,14 @@ here:
   reduction — a parallel sweep reproduces the serial one bit for bit;
 - :class:`SweepCheckpoint` persists finished chunks as JSON for
   resume-after-interrupt;
-- :class:`WorkerPool` is the persistent named *supervised* thread pool
-  the decode service (:mod:`repro.service`) dispatches batches onto —
-  it detects crashed and hung workers, fails their futures with a typed
-  error and respawns replacements;
-- :class:`ProcessWorkerPool` is its process-sharded sibling (ROADMAP
-  item 2a): persistent supervised worker processes with per-worker plan
-  caches and shared-memory array transport; :func:`shared_process_pool`
-  keeps one alive per worker count for the whole interpreter;
+- :class:`WorkerPool` is the one persistent *supervised* pool under
+  the decode service (:mod:`repro.service`) and the sweep engine: its
+  workers are threads or forked processes, and either kind runs the
+  same named tasks.  It detects crashed and hung workers, fails their
+  futures with a typed error and respawns replacements.  Process
+  workers keep their own plan caches and take arrays through shared
+  memory; :func:`shared_process_pool` keeps one process pool alive per
+  worker count for the whole interpreter;
 - :class:`FaultPlan` scripts deterministic fault injection (payload
   corruption, worker crash/stall, backend errors, cache drops) for the
   chaos tests.
@@ -33,9 +33,8 @@ from repro.runtime.engine import (
     plan_chunks,
     point_key,
 )
-from repro.runtime.faults import FAULT_SITES, FaultPlan, WorkerKilled
+from repro.runtime.faults import FAULT_SITES, FaultPlan
 from repro.runtime.parallel import (
-    ProcessWorkerPool,
     WorkerPool,
     shared_process_pool,
     shutdown_shared_pools,
@@ -44,11 +43,9 @@ from repro.runtime.parallel import (
 __all__ = [
     "FAULT_SITES",
     "FaultPlan",
-    "ProcessWorkerPool",
     "SCHEDULES",
     "SweepCheckpoint",
     "SweepEngine",
-    "WorkerKilled",
     "WorkerPool",
     "chunk_key",
     "chunk_rng",

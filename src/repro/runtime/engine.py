@@ -5,9 +5,9 @@ sweeps: (code, decoder config, Eb/N0 grid, frame budget).  The seed
 harness walked the grid serially on one core.  This module shards that
 work into **chunks** — ``(Eb/N0 point, chunk index, frame count)`` work
 items — and executes them either in-process or across the persistent
-:class:`~repro.runtime.parallel.ProcessWorkerPool` shared by all sweeps
-in the interpreter, with three invariants that make the parallelism
-invisible in the results:
+process :class:`~repro.runtime.parallel.WorkerPool` shared by all
+sweeps in the interpreter, with three invariants that make the
+parallelism invisible in the results:
 
 1. **Deterministic child streams.**  Every chunk draws from
    ``np.random.SeedSequence(seed, spawn_key=(point_key, chunk))`` where
@@ -270,7 +270,7 @@ class SweepEngine:
         :func:`executor_verdict` — for tests that must exercise the
         pool even where it cannot win.
     pool:
-        Optional explicit :class:`~repro.runtime.parallel.ProcessWorkerPool`;
+        Optional explicit process :class:`~repro.runtime.parallel.WorkerPool`;
         defaults to :func:`~repro.runtime.parallel.shared_process_pool`
         for the requested worker count, reused across every sweep in
         the interpreter.

@@ -4,11 +4,11 @@ The chip keeps its pipeline alive across mode switches *by design*; the
 software serving tier earns the same property only if its failure paths
 are exercised as routinely as its happy path.  This module makes chaos
 first-class and reproducible: a :class:`FaultPlan` names, ahead of
-time, exactly which events misbehave — the k-th task a worker dequeues
-crashes the worker, the k-th batch decode raises a backend error, the
-k-th submitted payload is corrupted, the k-th plan-cache lookup drops
-an entry mid-flight — and counts every injection it performs so a test
-can reconcile service metrics against the plan.
+time, exactly which events misbehave — the k-th task assigned to a
+worker crashes the worker, the k-th batch decode raises a backend
+error, the k-th submitted payload is corrupted, the k-th batch decode
+drops a plan-cache entry mid-flight — and counts every injection it
+performs so a test can reconcile service metrics against the plan.
 
 Sites are keyed by **per-site event counters**, not wall-clock or RNG
 draws, so the *number* of injections is deterministic for a given
@@ -19,16 +19,21 @@ corrupt LLR payloads — is seeded per ``(seed, event index)``, so a test
 can recompute the exact corrupted array with :meth:`FaultPlan.corrupted`
 and still assert bit-identity against a direct decode.
 
-Wiring: pass ``faults=plan`` to :class:`~repro.service.DecodeService`
-(which forwards it to its :class:`~repro.runtime.WorkerPool`) and/or to
-:class:`~repro.service.PlanCache`.  A ``None`` plan is free: every hook
-site guards with ``if self._faults is not None``.
+Wiring: pass ``faults=plan`` to :class:`~repro.service.DecodeService`.
+The service corrupts payloads at submit and draws the ``cache_drop``
+and ``backend_error`` verdicts once per batch attempt; the drop rides
+the decode task to the worker, which evicts from the plan cache it
+decodes from.  The service forwards the plan to its
+:class:`~repro.runtime.WorkerPool`, which draws a
+:meth:`~FaultPlan.worker_directive` as it assigns each task; a worker
+of either kind carries the directive out before running the task.  A
+``None`` plan is free: every hook site guards with ``if self._faults
+is not None``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 
@@ -36,20 +41,9 @@ from repro.errors import InjectedFault
 
 #: Sites a plan can inject at, and the event counter each consumes.
 #: ``worker_crash`` and ``worker_hang`` share the ``worker`` counter:
-#: both index the stream of tasks dequeued by pool workers.
+#: both index the stream of tasks assigned to pool workers.
 FAULT_SITES = ("worker_crash", "worker_hang", "backend_error",
                "corrupt_llr", "cache_drop")
-
-
-class WorkerKilled(BaseException):
-    """Injected worker death — derives from BaseException on purpose.
-
-    A real worker crash is something the task runner's ``except
-    Exception`` cannot catch (thread-killing C extensions, interpreter
-    teardown); modelling it as a ``BaseException`` makes the injected
-    crash escape the runner exactly like the real thing, so the pool's
-    supervisor — not the ordinary error path — must handle it.
-    """
 
 
 def _as_indices(spec) -> frozenset:
@@ -70,9 +64,9 @@ class FaultPlan:
         Seeds the corruption noise only (all *placement* is by explicit
         event index, below).
     worker_crash:
-        Worker-task indices (0-based, in dequeue order across the pool)
-        at which the dequeuing worker thread dies with
-        :class:`WorkerKilled` before running the task.
+        Worker-task indices (0-based, in assignment order across the
+        pool) at which the assigned worker dies before running the
+        task.
     worker_hang:
         Worker-task indices at which the worker sleeps
         ``hang_duration`` seconds before running the task — long enough
@@ -87,9 +81,10 @@ class FaultPlan:
         still runs; the output is garbage but *deterministic* garbage —
         recompute it with :meth:`corrupted`.
     cache_drop:
-        Plan-cache lookup indices at which the least-recently-used
-        cache entry is evicted before the lookup proceeds (a rebuild
-        mid-flight; correctness-neutral by the cache's own contract).
+        Batch-decode attempt indices at which the worker evicts the
+        least-recently-used entry of its plan cache before the lookup
+        (a rebuild mid-flight; correctness-neutral by the cache's own
+        contract).
     hang_duration:
         Sleep applied at ``worker_hang`` sites, seconds.
 
@@ -168,12 +163,10 @@ class FaultPlan:
         the fault instead of performing it: ``{"crash": True}`` at
         ``worker_crash`` indices, ``{"hang": hang_duration}`` at
         ``worker_hang`` indices, ``None`` otherwise.
-        :class:`~repro.runtime.parallel.ProcessWorkerPool` calls this
-        parent-side at task assignment — keeping placement counters in
-        one process however children race — and ships the directive to
-        the worker, which dies (``os._exit``) or sleeps *before*
-        running the task, mirroring the thread pool's dequeue-time
-        hook below.
+        :class:`~repro.runtime.parallel.WorkerPool` calls this at task
+        assignment — keeping placement counters in the parent however
+        workers race — and hands the directive to the worker with the
+        task; the worker dies or sleeps *before* running it.
         """
         index = self._next("worker")
         if index in self.worker_crash:
@@ -183,23 +176,6 @@ class FaultPlan:
             self._record("worker_hang")
             return {"hang": self.hang_duration, "index": index}
         return None
-
-    def on_worker_task(self) -> None:
-        """WorkerPool hook: called as a worker dequeues each task.
-
-        Raises :class:`WorkerKilled` at ``worker_crash`` indices (the
-        pool's supervisor must detect the dead thread, fail its
-        in-flight future, and respawn); sleeps ``hang_duration`` at
-        ``worker_hang`` indices.
-        """
-        directive = self.worker_directive()
-        if directive is None:
-            return
-        if directive.get("crash"):
-            raise WorkerKilled(
-                f"injected worker crash at task #{directive['index']}"
-            )
-        time.sleep(directive["hang"])
 
     def on_batch_decode(self) -> None:
         """DecodeService hook: called before each batch decode attempt.
@@ -246,7 +222,9 @@ class FaultPlan:
         return corrupted.astype(llr.dtype)
 
     def on_cache_get(self) -> bool:
-        """PlanCache hook: True when this lookup should drop the LRU entry."""
+        """DecodeService hook, once per batch decode attempt: True when
+        the decode should drop its plan cache's LRU entry before the
+        lookup."""
         index = self._next("cache")
         if index in self.cache_drop:
             self._record("cache_drop")
@@ -254,4 +232,4 @@ class FaultPlan:
         return False
 
 
-__all__ = ["FAULT_SITES", "FaultPlan", "WorkerKilled"]
+__all__ = ["FAULT_SITES", "FaultPlan"]

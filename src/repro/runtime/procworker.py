@@ -1,29 +1,30 @@
-"""Child-process side of :class:`~repro.runtime.parallel.ProcessWorkerPool`.
+"""The task vocabulary of :class:`~repro.runtime.parallel.WorkerPool`,
+and a process worker's side of the pool.
 
-A pool worker is a long-lived process that loops over a private task
-pipe and exits when its parent does.  Everything that is *large* — LLR
-frames in, decode result arrays out — travels through
+Both worker kinds run the same named tasks (:data:`TASKS`) against a
+per-worker :class:`WorkerState`.  A thread worker decodes through the
+:class:`~repro.service.PlanCache` its pool was given and receives its
+arrays in process.  A process worker is a long-lived child that loops
+over a private task pipe and exits when its parent does: everything
+*large* — LLR frames in, decode result arrays out — travels through
 :mod:`multiprocessing.shared_memory` segments owned by the parent (see
-``_ShmArena`` in :mod:`repro.runtime.parallel`); the pipes carry only
-small pickled descriptors.  Everything that is *expensive to build* — compiled decode
-plans, fixed-point ROM tables, encoder eliminations — lives in
-per-worker caches (:class:`~repro.service.PlanCache` for service decode
-tasks, a one-slot structural cache for sweep chunks), so a worker
-behaves like the thread pool's shared :class:`PlanCache` without any
-cross-process locking: the software analogue of the paper's
-partially-parallel SISO units each holding their own message memory.
+``_ShmArena`` in :mod:`repro.runtime.parallel`), the pipe carries only
+small pickled descriptors, and everything *expensive to build* —
+compiled decode plans, fixed-point ROM tables, encoder eliminations —
+lives in the worker's own caches, with no cross-process locking: the
+software analogue of the paper's partially-parallel SISO units each
+holding their own message memory.
 
 Task functions all share one signature::
 
     func(state, meta, inputs) -> (payload, outputs)
 
-``meta`` is the small pickled descriptor, ``inputs`` is a dict of numpy
-arrays copied out of the task's shared-memory segment, ``payload`` is a
-small picklable result for the queue, and ``outputs`` is a dict of
-arrays the worker writes back into the segment at parent-declared
-offsets.  The registry is deliberately tiny and explicit (no arbitrary
-callables cross the process boundary — closures cannot, and a fixed
-vocabulary keeps the wire format auditable).
+``meta`` is the small descriptor, ``inputs`` is a dict of numpy arrays,
+``payload`` is a small picklable result, and ``outputs`` is a dict of
+arrays (a process worker writes them back into the segment at
+parent-declared offsets).  The registry is deliberately tiny and
+explicit (no arbitrary callables cross the process boundary — closures
+cannot, and a fixed vocabulary keeps the wire format auditable).
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ import numpy as np
 #: line; keeps child reads/writes from straddling neighbours.
 ALIGNMENT = 64
 
-#: Exit code of a scripted worker crash (``FaultPlan`` directive).  The
-#: parent's supervisor does not read it — a dead process is a dead
-#: process — but it makes chaos-test post-mortems unambiguous.
+#: Exit code of a scripted process-worker crash (``FaultPlan``
+#: directive).  The parent's supervisor does not read it — a dead
+#: process is a dead process — but it makes chaos-test post-mortems
+#: unambiguous.
 CRASH_EXIT_CODE = 71
 
 #: Seconds an idle worker waits between checks that its parent lives.
@@ -112,15 +114,18 @@ def decode_out_spec(batch: int, n: int) -> dict:
 
 
 class WorkerState:
-    """Per-worker caches: one PlanCache for decode, one slot for sweeps."""
+    """One worker's caches: a PlanCache for decode tasks (the pool's own
+    for thread workers, else a fresh one), one slot for sweeps."""
 
-    def __init__(self, cache_size: int = 16):
-        # Imported here, not at module top: sweep-only workers never pay
-        # for the service layer, and the parent imports this module
-        # before forking (fork shares the already-imported pages).
-        from repro.service.cache import PlanCache
+    def __init__(self, cache=None):
+        if cache is None:
+            # Imported here, not at module top: sweep-only workers never
+            # pay for the service layer, and the parent imports this
+            # module before forking (fork shares the imported pages).
+            from repro.service.cache import PlanCache
 
-        self.cache = PlanCache(maxsize=cache_size)
+            cache = PlanCache(maxsize=16)
+        self.cache = cache
         self.sweep_cache: dict = {}
 
 
@@ -155,11 +160,10 @@ def _task_scale(state, meta, inputs):
 
 
 def _task_decode(state, meta, inputs):
-    """One batch decode through the worker's own PlanCache."""
+    """One batch decode through the worker's PlanCache."""
     if meta.get("cache_drop"):
-        # Forwarded FaultPlan ``cache_drop`` directive: evict this
-        # worker's LRU entry before the lookup, exactly as the hook
-        # does on the parent's cache under the thread executor.
+        # A FaultPlan ``cache_drop`` verdict, drawn by the service for
+        # this batch attempt: evict the LRU entry before the lookup.
         state.cache.drop_oldest()
     entry = state.cache.get(meta["mode"], meta["config"])
     result = entry.decoder.decode(inputs["llr"])
@@ -221,7 +225,8 @@ TASKS = {
 # Worker main loop
 # ---------------------------------------------------------------------------
 def run_task(state: WorkerState, kind: str, meta, shm_spec) -> object:
-    """Execute one task against ``state``; returns the queue payload.
+    """Execute one process-worker task against ``state``; returns the
+    queue payload.
 
     Split from :func:`worker_main` so the task path (segment attach,
     input copy, dispatch, output write-back) is unit-testable in
@@ -246,6 +251,16 @@ def run_task(state: WorkerState, kind: str, meta, shm_spec) -> object:
         # retiring or growing segments needs no cross-process protocol.
         shm.close()
     return payload
+
+
+def scripted_crash(directive) -> bool:
+    """Carry out a FaultPlan worker directive ahead of its task: sleep
+    out a scripted hang, and say whether the worker is to die instead."""
+    if directive is None:
+        return False
+    if "hang" in directive:
+        time.sleep(float(directive["hang"]))
+    return "crash" in directive
 
 
 def peak_rss_mb() -> float:
@@ -310,43 +325,33 @@ def _drop_inherited_sockets() -> None:
         os.close(null)
 
 
-def worker_main(worker_id: int, tasks, result_q, cache_size: int) -> None:
-    """Pool worker entry point: loop until the ``None`` sentinel arrives
-    or the parent dies."""
+def worker_main(tasks, results) -> None:
+    """Process worker entry point: loop until the ``None`` sentinel
+    arrives or the parent dies."""
     _drop_inherited_sockets()
     parent = multiprocessing.parent_process()
-    state = WorkerState(cache_size=cache_size)
-    while True:
-        item = _next_task(tasks, parent.sentinel, parent.pid)
-        if item is None:
-            return
+    state = WorkerState()
+    while (item := _next_task(tasks, parent.sentinel, parent.pid)) is not None:
         task_id, kind, meta, shm_spec, directive = item
-        if directive is not None:
-            # Scripted chaos, decided by the parent's FaultPlan at
-            # assignment time so event counters stay parent-side and
-            # deterministic.  Both fire *before* the task runs — the
-            # process analogue of the thread pool's dequeue-time hook.
-            if directive.get("crash"):
-                os._exit(CRASH_EXIT_CODE)
-            if directive.get("hang"):
-                time.sleep(float(directive["hang"]))
+        if scripted_crash(directive):
+            os._exit(CRASH_EXIT_CODE)
         try:
             # The parent pickled ``meta`` once, in submit.
             payload = run_task(state, kind, pickle.loads(meta), shm_spec)
-        except BaseException as exc:  # noqa: BLE001 — delivered to the future
+        except Exception as exc:  # delivered to the future
             try:
-                result_q.put((worker_id, task_id, "error", exc, peak_rss_mb()))
+                results.put((task_id, "error", exc, peak_rss_mb()))
             except Exception:
                 # Unpicklable exception: degrade to its repr rather
                 # than dying (which would turn a task error into a
                 # spurious worker crash).
-                result_q.put((
-                    worker_id, task_id, "error",
+                results.put((
+                    task_id, "error",
                     RuntimeError(f"worker task failed: {exc!r}"),
                     peak_rss_mb(),
                 ))
         else:
-            result_q.put((worker_id, task_id, "ok", payload, peak_rss_mb()))
+            results.put((task_id, "ok", payload, peak_rss_mb()))
 
 
 __all__ = [
@@ -358,6 +363,7 @@ __all__ = [
     "plan_layout",
     "read_arrays",
     "run_task",
+    "scripted_crash",
     "worker_main",
     "write_arrays",
 ]

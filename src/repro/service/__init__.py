@@ -9,10 +9,11 @@ the production-software analogue of that operating condition:
   a mode switch is a cache hit, like the chip's control-register update;
 - :class:`DecodeService` — accepts per-client requests, batches them
   dynamically by ``(mode, config)`` under ``max_batch``/``max_wait``,
-  decodes on a supervised thread worker pool, and resolves per-request
-  futures in per-client FIFO order — with per-request deadlines,
-  bounded admission (:class:`AdmissionPolicy`), transient-failure
-  retries (:class:`RetryPolicy`) and a no-hung-futures guarantee;
+  decodes on a supervised pool of worker processes (one thread on a
+  one-core host), and resolves per-request futures in per-client FIFO
+  order — with per-request deadlines, bounded admission
+  (:class:`AdmissionPolicy`), transient-failure retries
+  (:class:`RetryPolicy`) and a no-hung-futures guarantee;
 - :class:`ServiceMetrics` — frames/s, latency quantiles, batch fill,
   queue depth, cache and mode-switch counters plus the robustness
   counters (rejected / shed / timed-out / retried) and the

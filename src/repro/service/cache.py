@@ -53,12 +53,6 @@ class PlanCache:
     default_config:
         Config assumed when :meth:`get`/:meth:`warm` are called without
         one.
-    faults:
-        Optional :class:`~repro.runtime.faults.FaultPlan`: at scripted
-        lookup indices the least-recently-used entry is dropped before
-        the lookup proceeds (``cache_drop`` site) — a mid-flight
-        eviction, which by this cache's own contract must only ever
-        cost a rebuild, never a wrong decode.  Chaos tests pin that.
 
     Keys accept either a registry mode string (``"802.16e:1/2:z96"``)
     or an already-expanded :class:`~repro.codes.qc.QCLDPCCode`, keyed as
@@ -75,7 +69,6 @@ class PlanCache:
         self,
         maxsize: int = 32,
         default_config: DecoderConfig | None = None,
-        faults=None,
     ):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
@@ -83,7 +76,6 @@ class PlanCache:
         self.default_config = (
             default_config if default_config is not None else DecoderConfig()
         )
-        self._faults = faults
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.hits = 0
@@ -119,8 +111,6 @@ class PlanCache:
         """
         config = config if config is not None else self.default_config
         key = self.key(mode, config)
-        if self._faults is not None and self._faults.on_cache_get():
-            self.drop_oldest()
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -190,7 +180,8 @@ class PlanCache:
         return built
 
     def drop_oldest(self) -> bool:
-        """Evict the least-recently-used entry (fault injection / tests).
+        """Evict the least-recently-used entry (the ``cache_drop`` fault
+        site, and tests).
 
         Correctness-neutral by construction: an evicted record rebuilds
         on the next miss and decodes bit-identically (pinned by the

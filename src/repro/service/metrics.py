@@ -52,7 +52,6 @@ class ServiceMetrics:
         self.frames_submitted = 0
         self.frames_decoded = 0
         self.batches_dispatched = 0
-        self.batches_offloaded = 0
         self.batch_frames_total = 0
         self.max_batch_frames = 0
         self.flushes_size = 0
@@ -101,11 +100,6 @@ class ServiceMetrics:
     def record_mode_switch(self) -> None:
         with self._lock:
             self.mode_switches += 1
-
-    def record_offloaded(self) -> None:
-        """A batch crossed the process boundary (executor="process")."""
-        with self._lock:
-            self.batches_offloaded += 1
 
     def record_completion(self, frames: int, latency_s: float) -> None:
         with self._lock:
@@ -254,7 +248,6 @@ class ServiceMetrics:
                 "frames_decoded": self.frames_decoded,
                 "frames_per_second": self.frames_decoded / elapsed,
                 "batches_dispatched": batches,
-                "batches_offloaded": self.batches_offloaded,
                 "mean_batch_frames": (
                     self.batch_frames_total / batches if batches else 0.0
                 ),
@@ -305,7 +298,7 @@ _COUNTER_KEYS = frozenset({
     "requests_cancelled", "requests_rejected", "requests_quota_rejected",
     "requests_shed", "requests_timed_out", "requests_retried",
     "submits_blocked", "frames_submitted", "frames_decoded",
-    "batches_dispatched", "batches_offloaded", "flushes_size",
+    "batches_dispatched", "flushes_size",
     "flushes_deadline", "flushes_drain", "mode_switches", "hits", "misses",
     "evictions", "crashes_detected", "hangs_detected", "respawns",
     "processes_spawned", "tasks_completed", "segments_created",

@@ -87,7 +87,7 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.power.model import PowerModel
-from repro.runtime.parallel import ProcessWorkerPool, WorkerPool, usable_cores
+from repro.runtime.parallel import WorkerPool, usable_cores
 from repro.runtime.procworker import decode_out_spec
 from repro.service.admission import AdmissionPolicy, RetryPolicy
 from repro.service.cache import PlanCache
@@ -188,10 +188,11 @@ class DecodeService:
         paired serving-mix runs.
     cache:
         The :class:`PlanCache` to serve decoders from (default: a fresh
-        cache of 32 records).  Under the process executor the workers
-        decode from plan caches of their own, so this cache serves no
-        decode; what it builds before a worker forks — expanded codes
-        and fixed-point ROMs — the worker inherits.
+        cache of 32 records).  Thread workers decode from it.  Process
+        workers decode from plan caches of their own, so under the
+        process executor it serves no decode; what it builds before a
+        worker forks — expanded codes and fixed-point ROMs — the worker
+        inherits.
     default_config:
         Config for requests that do not carry one.  When omitted, the
         cache's default is adopted with its early-termination rule
@@ -221,36 +222,35 @@ class DecodeService:
         Worker supervision bound, seconds: a batch decode running
         longer than this fails its requests with
         :class:`~repro.errors.WorkerCrashedError` (retried if a retry
-        policy allows) and the stuck worker thread is replaced.  Also
-        bounds :meth:`close` against a hung worker.  ``None`` disables
-        hang detection (crashed workers are still supervised).
+        policy allows) and the stuck worker is replaced.  Also bounds
+        :meth:`close` against a hung worker.  ``None`` disables hang
+        detection (crashed workers are still supervised).
     faults:
-        Optional :class:`~repro.runtime.faults.FaultPlan`, wired into
-        the submit path (payload corruption), the worker pool
-        (crash/stall) and the batch decode (backend errors).  Under the
-        process executor, worker crash/stall directives are evaluated
-        parent-side at task assignment and executed in the child —
-        same scripted placement, same supervisor recovery.
+        Optional :class:`~repro.runtime.faults.FaultPlan`.  The service
+        corrupts payloads at submit and draws the ``cache_drop`` and
+        ``backend_error`` verdicts once per batch attempt, as it
+        dispatches; the worker pool draws the crash/stall directive as
+        it assigns each task, and the worker carries it out — the same
+        scripted placement and the same recovery under either executor.
     executor:
         ``"auto"`` (default) resolves once, at construction: two or
         more usable cores decode on processes, one core on threads.
-        ``"process"`` shards batches across a dedicated
-        :class:`~repro.runtime.parallel.ProcessWorkerPool`, forked on
-        demand at dispatch: each worker process owns its own plan
-        cache, LLR frames and result arrays travel through
-        shared-memory segments, and the per-layer Python escapes the
-        interpreter lock (a worker round trip costs ~0.15 ms; the
-        cheapest batch of the serving mixes decodes in ~2 ms).
-        ``"thread"`` decodes on a supervised
-        :class:`~repro.runtime.WorkerPool` of threads sharing the
-        service's :class:`PlanCache`; on one core one thread beats both
-        two threads and a worker process.  Deadlines, admission,
-        retries, per-client FIFO and fault injection behave
-        identically; results are bit-identical.  Prefer registry-string
-        modes with the process executor (code *objects* re-pickle per
-        batch and defeat the per-worker plan cache).  An explicit
-        ``executor`` or ``workers`` is never rewritten; the resolved
-        pair is :attr:`executor` / :attr:`workers` and appears under
+        Either way batches go to one supervised
+        :class:`~repro.runtime.WorkerPool` as ``"decode"`` tasks, by
+        one dispatch path.  ``"process"`` workers fork on demand at
+        dispatch, each owns its own plan cache, LLR frames and result
+        arrays travel through shared-memory segments, and the per-layer
+        Python escapes the interpreter lock (a worker round trip costs
+        ~0.15 ms; the cheapest batch of the serving mixes decodes in
+        ~2 ms).  ``"thread"`` workers decode from the service's
+        :class:`PlanCache`; on one core one thread beats both two
+        threads and a worker process.  Deadlines, admission, retries,
+        per-client FIFO and fault injection behave identically; results
+        are bit-identical.  Prefer registry-string modes with the
+        process executor (code *objects* re-pickle per batch and defeat
+        the per-worker plan cache).  An explicit ``executor`` or
+        ``workers`` is never rewritten; the resolved pair is
+        :attr:`executor` / :attr:`workers` and appears under
         ``metrics_snapshot()["worker_pool"]``.
     policy:
         Optional :class:`~repro.service.DecodePolicy`: every request's
@@ -326,12 +326,13 @@ class DecodeService:
         self.metrics = ServiceMetrics(clock=clock)
         self._clock = clock
         self._faults = faults
-        pool_class = ProcessWorkerPool if executor == "process" else WorkerPool
-        self._pool = pool_class(
+        self._pool = WorkerPool(
             self.workers,
+            executor,
             name="repro-decode",
             hang_timeout=hang_timeout,
             faults=faults,
+            cache=self.cache,
         )
         self._cond = threading.Condition()
         #: group key -> _Bucket; insertion order ~ first pending.
@@ -663,9 +664,12 @@ class DecodeService:
         """Service metrics plus plan-cache and worker-pool statistics.
 
         ``worker_pool`` carries the resolved ``executor`` and
-        ``workers``; under processes it adds ``worker_peak_rss_mb``,
-        the largest peak RSS any worker has reported, which the
-        parent's RSS does not include.
+        ``workers`` and the pool's :meth:`~repro.runtime.WorkerPool.stats`
+        — ``tasks_completed`` (batch decodes a worker reported back,
+        results and errors alike), the supervision counters and, from
+        process workers, ``worker_peak_rss_mb``: the largest peak RSS
+        any worker has reported, which the parent's RSS does not
+        include.
 
         ``batches_in_flight`` counts pool submissions not yet finished
         (at most ``workers``, plus retries); it reads 0 on an idle or
@@ -703,7 +707,7 @@ class DecodeService:
         policy) are woken and raise
         :class:`~repro.errors.ServiceClosedError`.  The drain tolerates
         chaos: crashed workers respawn to finish the queue, hung
-        workers (with ``hang_timeout`` set) are abandoned, and any
+        workers (with ``hang_timeout`` set) are replaced, and any
         request that still has no outcome when the pool is down — which
         only a lost worker can cause — is failed with
         :class:`~repro.errors.ServiceClosedError` rather than leaked.
@@ -888,48 +892,14 @@ class DecodeService:
         self._dispatch_batch(group, attempt)
 
     def _dispatch_batch(self, requests: "list[_Request]", attempt: int) -> None:
-        """Hand a batch to the pool, with crash/hang recovery attached.
+        """Hand a batch to the pool as one ``"decode"`` task.
 
-        The caller holds a worker slot for the batch: every path out of
-        here either releases it or leaves that to the batch future.
-        """
-        if self.executor == "process":
-            self._dispatch_batch_process(requests, attempt)
-            return
-        try:
-            batch_future = self._pool.submit(self._run_batch, requests, attempt)
-        except RuntimeError:
-            # Pool already shut down (a retry raced close()): the drain
-            # safety net would catch these, but failing them here keeps
-            # the error specific.
-            self._release_slot()
-            for request in requests:
-                self._deliver(
-                    request,
-                    "closed",
-                    ServiceClosedError(
-                        "service closed while this request awaited retry"
-                    ),
-                )
-            return
-        batch_future.add_done_callback(
-            lambda f, reqs=requests, n=attempt: self._on_batch_done(f, reqs, n)
-        )
-
-    def _dispatch_batch_process(
-        self, requests: "list[_Request]", attempt: int
-    ) -> None:
-        """Process-executor dispatch: ship one merged batch over shm.
-
-        The thread path's worker body (:meth:`_run_batch`) splits in
-        two here: everything that must see *parent* state — the
-        per-attempt fault hooks, payload merging, retry adjudication —
-        runs in this process, and only the pure decode crosses to a
-        worker, which serves it from its own plan cache.  Fault-hook
-        order matches the thread path exactly (cache hook, then batch
-        hook, then decode), so a scripted
-        :class:`~repro.runtime.faults.FaultPlan` fires at the same
-        event indices under either executor.
+        The fault hooks fire here, once per attempt and in the same
+        order under either executor: the ``cache_drop`` verdict rides
+        the task to the worker's decode, and a ``backend_error`` fails
+        the attempt before it reaches the pool.  The caller holds a
+        worker slot for the batch: every path out of here either
+        releases it or leaves that to :meth:`_complete_batch`.
         """
         live = [r for r in requests if not r.resolved]
         if not live:
@@ -938,13 +908,8 @@ class DecodeService:
         first = live[0]
         try:
             cache_drop = False
-            cache_faults = getattr(self.cache, "_faults", None)
-            if cache_faults is not None:
-                # The thread path's cache.get() consumes one cache-fault
-                # event per batch attempt; consume it here and forward
-                # the verdict so the *worker's* cache takes the drop.
-                cache_drop = cache_faults.on_cache_get()
             if self._faults is not None:
+                cache_drop = self._faults.on_cache_get()
                 self._faults.on_batch_decode()
             if len(live) == 1:
                 merged = first.llr
@@ -958,15 +923,16 @@ class DecodeService:
             out_spec = decode_out_spec(*merged.shape)
         except BaseException as exc:  # retried or delivered, never swallowed
             self._release_slot()
-            pending = [r for r in live if not r.resolved]
-            if pending:
-                self._retry_or_fail(pending, attempt, exc)
+            self._retry_or_fail(live, attempt, exc)
             return
         try:
             batch_future = self._pool.submit(
                 "decode", meta, arrays={"llr": merged}, out_spec=out_spec
             )
         except RuntimeError:
+            # Pool already shut down (a retry raced close()): the drain
+            # safety net would catch these, but failing them here keeps
+            # the error specific.
             self._release_slot()
             for request in live:
                 self._deliver(
@@ -977,69 +943,38 @@ class DecodeService:
                     ),
                 )
             return
-        self.metrics.record_offloaded()
         batch_future.add_done_callback(
-            lambda f, reqs=live, n=attempt: self._finish_offloaded(f, reqs, n)
+            lambda f, reqs=live, n=attempt: self._complete_batch(f, reqs, n)
         )
 
-    def _finish_offloaded(self, batch_future, requests, attempt) -> None:
-        """Reassemble a worker's shared-memory decode and deliver slices.
+    def _complete_batch(self, batch_future, requests, attempt) -> None:
+        """Free the batch's worker slot, then deliver each request its
+        slice of the decode — or retry or fail the batch on an error.
 
-        Runs on the pool's collector thread, once per batch future, and
-        frees the batch's worker slot first.  Errors — the worker's own
-        exceptions and :class:`WorkerCrashedError` from the supervisor —
-        go through the same retry adjudication as the thread path, so
-        crash recovery and backend-error retries behave identically
-        under either executor.
+        Runs once per batch future, on the worker thread or the process
+        pool's collector.  Errors — the decode's own exceptions and
+        :class:`~repro.errors.WorkerCrashedError` from supervision — go
+        through the retry adjudication.
         """
         self._release_slot()
-        if batch_future.cancelled():
-            return
         exc = batch_future.exception()
         if exc is not None:
-            pending = [r for r in requests if not r.resolved]
-            if pending:
-                self._retry_or_fail(pending, attempt, exc)
+            self._retry_or_fail(requests, attempt, exc)
             return
         payload, outputs = batch_future.result()
-        result = DecodeResult(
-            bits=outputs["bits"],
-            llr=outputs["llr"],
-            iterations=outputs["iterations"],
-            converged=outputs["converged"],
-            et_stopped=outputs["et_stopped"],
-            n_info=payload["n_info"],
-        )
+        result = DecodeResult(n_info=payload["n_info"], **outputs)
         offset = 0
         for request in requests:
             sliced = result.slice(offset, offset + request.frames)
             offset += request.frames
             self._deliver(request, "result", sliced)
 
-    def _on_batch_done(self, batch_future, requests, attempt) -> None:
-        """Free the batch's worker slot; recover requests whose worker
-        never returned.
-
-        ``_run_batch`` resolves every request itself on the normal and
-        error paths; the batch future fails only when the worker was
-        lost (crash, hang) with :class:`WorkerCrashedError` — exactly
-        the case that used to hang futures forever.  Retry if policy
-        allows; otherwise deliver the worker error.
-        """
-        self._release_slot()
-        if batch_future.cancelled():
-            exc: BaseException | None = None
-        else:
-            exc = batch_future.exception()
-        if exc is None:
-            return
+    def _retry_or_fail(self, requests, attempt, exc) -> None:
+        """Schedule a retry for transient failures, or deliver the error,
+        to every request of a failed attempt that is still unresolved."""
         pending = [r for r in requests if not r.resolved]
         if not pending:
             return
-        self._retry_or_fail(pending, attempt, exc)
-
-    def _retry_or_fail(self, pending, attempt, exc) -> None:
-        """Schedule a retry for transient failures, or deliver the error."""
         retryable = (
             self.retry is not None
             and self.retry.is_retryable(exc)
@@ -1106,41 +1041,8 @@ class DecodeService:
             self._redispatch(group, attempt)
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Delivery
     # ------------------------------------------------------------------
-    def _run_batch(self, requests: "list[_Request]", attempt: int = 1) -> None:
-        live: list[_Request] = []
-        for request in requests:
-            if request.resolved:
-                continue  # timed out / shed while queued or in flight
-            live.append(request)
-        if not live:
-            return
-        first = live[0]
-        try:
-            entry = self.cache.get(first.mode, first.config)
-            if self._faults is not None:
-                self._faults.on_batch_decode()
-            if len(live) == 1:
-                merged = first.llr
-            else:
-                merged = np.concatenate([r.llr for r in live], axis=0)
-            result = entry.decoder.decode(merged)
-            offset = 0
-            outcomes = []
-            for request in live:
-                outcomes.append(
-                    ("result", result.slice(offset, offset + request.frames))
-                )
-                offset += request.frames
-        except BaseException as exc:  # delivered or retried, never swallowed
-            pending = [r for r in live if not r.resolved]
-            if pending:
-                self._retry_or_fail(pending, attempt, exc)
-            return
-        for request, (kind, payload) in zip(live, outcomes):
-            self._deliver(request, kind, payload)
-
     def _energy_profile(self, mode) -> tuple:
         """``(pJ per frame-iteration, n_info)`` for one mode, cached.
 

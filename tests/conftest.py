@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.codes import QCLDPCCode, build_qc_base_matrix, get_code
 from repro.encoder import make_encoder
+from repro.runtime import procworker
 
 
 @pytest.fixture
@@ -54,3 +57,15 @@ def make_noisy_llrs(code, encoder, ebn0_db, frames, seed):
         BPSKModulator(), AWGNChannel.from_ebn0(ebn0_db, code.rate, rng=rng)
     )
     return info, codewords, frontend.run(codewords)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """A ``"gate"`` worker task that holds its thread worker until the
+    returned event is set: ``pool.submit("gate")`` wedges one worker."""
+    opened = threading.Event()
+    monkeypatch.setitem(
+        procworker.TASKS, "gate", lambda state, meta, inputs: (opened.wait(), {})
+    )
+    yield opened
+    opened.set()

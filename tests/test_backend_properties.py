@@ -472,7 +472,7 @@ def test_process_service_decode_bit_identity():
 
 @pytest.mark.parametrize("schedule", ["layered", "flooding"])
 def test_process_sweep_bit_identity(schedule):
-    from repro.runtime import ProcessWorkerPool, SweepEngine
+    from repro.runtime import SweepEngine, WorkerPool
 
     case = next(c for c in CASES if c.schedule == schedule)
     code = CODES[case.code_index]
@@ -481,7 +481,7 @@ def test_process_sweep_bit_identity(schedule):
     serial = SweepEngine(
         code, case.config(), schedule=schedule, seed=MASTER_SEED
     ).run(ebn0, **budget)
-    with ProcessWorkerPool(2) as pool:
+    with WorkerPool(2, "process") as pool:
         forced = SweepEngine(
             code, case.config(), schedule=schedule, seed=MASTER_SEED,
             workers=2, force_parallel=True, pool=pool,

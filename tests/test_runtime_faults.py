@@ -1,22 +1,20 @@
-"""Unit tests for the fault-injection subsystem and worker supervision.
+"""Unit tests for the fault-injection subsystem.
 
-:class:`FaultPlan` placement/determinism contracts, the supervised
-:class:`WorkerPool`'s crash/hang detection and respawn behaviour, and
-the :class:`PlanCache` ``cache_drop`` hook.  The integrated chaos
-matrix (plans driving a whole :class:`DecodeService`) lives in
-``tests/test_service_faults.py``.
+:class:`FaultPlan` placement/determinism contracts and the decode
+task's ``cache_drop`` site.  Worker supervision under scripted crashes
+and hangs is the pool contract (``tests/test_runtime_pool.py``); the
+integrated chaos matrix (plans driving a whole :class:`DecodeService`)
+lives in ``tests/test_service_faults.py``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
-from repro.errors import InjectedFault, WorkerCrashedError
-from repro.runtime import FaultPlan, WorkerKilled, WorkerPool
+from repro.errors import InjectedFault
+from repro.runtime import FaultPlan
+from repro.runtime.procworker import TASKS, WorkerState
 from repro.service import PlanCache
 
 
@@ -30,18 +28,11 @@ class TestFaultPlan:
         assert FaultPlan(worker_crash=range(2)).worker_crash == frozenset({0, 1})
         assert FaultPlan().worker_crash == frozenset()
 
-    def test_worker_killed_escapes_except_exception(self):
-        # The whole point: an injected crash must not be catchable by
-        # the ordinary error path.
-        assert issubclass(WorkerKilled, BaseException)
-        assert not issubclass(WorkerKilled, Exception)
-
     def test_worker_site_counts_and_records(self):
-        plan = FaultPlan(worker_crash=[1], worker_hang=[2], hang_duration=0.0)
-        plan.on_worker_task()  # 0: clean
-        with pytest.raises(WorkerKilled):
-            plan.on_worker_task()  # 1: crash
-        plan.on_worker_task()  # 2: hang (0s sleep)
+        plan = FaultPlan(worker_crash=[1], worker_hang=[2], hang_duration=0.5)
+        assert plan.worker_directive() is None  # 0: clean
+        assert plan.worker_directive() == {"crash": True, "index": 1}
+        assert plan.worker_directive() == {"hang": 0.5, "index": 2}
         assert plan.injected()["worker_crash"] == 1
         assert plan.injected()["worker_hang"] == 1
         assert plan.events()["worker"] == 3
@@ -105,167 +96,31 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# WorkerPool basics
+# The cache_drop site: the decode task evicts before its lookup
 # ---------------------------------------------------------------------------
-class TestWorkerPoolBasics:
-    def test_submit_and_result(self):
-        with WorkerPool(2) as pool:
-            futures = [pool.submit(lambda v=v: v * v) for v in range(8)]
-            assert [f.result(timeout=10) for f in futures] == [
-                v * v for v in range(8)
-            ]
-
-    def test_task_exception_delivered_worker_survives(self):
-        with WorkerPool(1) as pool:
-            boom = pool.submit(lambda: 1 / 0)
-            with pytest.raises(ZeroDivisionError):
-                boom.result(timeout=10)
-            # The ordinary error path is not a crash: same thread serves on.
-            assert pool.submit(lambda: "alive").result(timeout=10) == "alive"
-            assert pool.stats()["crashes_detected"] == 0
-
-    def test_submit_after_shutdown_raises(self):
-        pool = WorkerPool(1)
-        pool.shutdown(wait=True)
-        with pytest.raises(RuntimeError, match="shut-down"):
-            pool.submit(lambda: None)
-
-    def test_shutdown_drains_queued_tasks(self):
-        pool = WorkerPool(1)
-        gate = threading.Event()
-        first = pool.submit(gate.wait)
-        queued = [pool.submit(lambda v=v: v) for v in range(5)]
-        gate.set()
-        pool.shutdown(wait=True)
-        assert first.result(timeout=0) is True
-        assert [f.result(timeout=0) for f in queued] == list(range(5))
-
-    def test_cancelled_while_queued_is_skipped(self):
-        pool = WorkerPool(1)
-        gate = threading.Event()
-        pool.submit(gate.wait)
-        doomed = pool.submit(lambda: "never")
-        assert doomed.cancel()
-        gate.set()
-        pool.shutdown(wait=True)
-        assert doomed.cancelled()
-
-    def test_stats_shape(self):
-        with WorkerPool(3) as pool:
-            stats = pool.stats()
-        assert stats["workers"] == 3
-        assert set(stats) == {
-            "workers", "busy", "queued",
-            "crashes_detected", "hangs_detected", "respawns",
-        }
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)
-        with pytest.raises(ValueError):
-            WorkerPool(1, hang_timeout=0)
+def _decode_task(cache, code, llr, plan):
+    """One ``"decode"`` task as a worker runs it, with the service's
+    once-per-attempt ``cache_drop`` verdict drawn from ``plan``."""
+    meta = {
+        "mode": code,
+        "config": cache.default_config,
+        "cache_drop": plan.on_cache_get(),
+    }
+    return TASKS["decode"](WorkerState(cache), meta, {"llr": llr})
 
 
-# ---------------------------------------------------------------------------
-# WorkerPool supervision
-# ---------------------------------------------------------------------------
-class TestWorkerPoolSupervision:
-    def test_crash_fails_future_and_respawns(self):
-        plan = FaultPlan(worker_crash=[0])
-        with WorkerPool(1, faults=plan, supervise_interval=0.01) as pool:
-            doomed = pool.submit(lambda: "unreachable")
-            with pytest.raises(WorkerCrashedError, match="crashed"):
-                doomed.result(timeout=10)
-            # Respawned capacity: the next task runs on the replacement.
-            assert pool.submit(lambda: "ok").result(timeout=10) == "ok"
-            stats = pool.stats()
-        assert stats["crashes_detected"] == 1
-        assert stats["respawns"] == 1
-        assert plan.injected()["worker_crash"] == 1
-
-    def test_hang_fails_future_abandons_thread_and_respawns(self):
-        plan = FaultPlan(worker_hang=[0], hang_duration=0.6)
-        with WorkerPool(
-            1, hang_timeout=0.08, faults=plan, supervise_interval=0.01
-        ) as pool:
-            stuck = pool.submit(lambda: "late")
-            t0 = time.monotonic()
-            with pytest.raises(WorkerCrashedError, match="hang_timeout"):
-                stuck.result(timeout=10)
-            # Failed by supervision (~hang_timeout), not by waiting out
-            # the 0.6s stall.
-            assert time.monotonic() - t0 < 0.5
-            assert pool.submit(lambda: "ok").result(timeout=10) == "ok"
-            stats = pool.stats()
-        assert stats["hangs_detected"] == 1
-        assert stats["respawns"] == 1
-
-    def test_late_result_from_abandoned_worker_discarded(self):
-        # The hung worker eventually finishes its sleep; its late
-        # outcome must hit the InvalidStateError guard, not overwrite
-        # the supervisor's verdict.
-        plan = FaultPlan(worker_hang=[0], hang_duration=0.2)
-        with WorkerPool(
-            1, hang_timeout=0.05, faults=plan, supervise_interval=0.01
-        ) as pool:
-            stuck = pool.submit(lambda: "late")
-            with pytest.raises(WorkerCrashedError):
-                stuck.result(timeout=10)
-            time.sleep(0.3)  # let the abandoned thread wake and try
-            with pytest.raises(WorkerCrashedError):
-                stuck.result(timeout=0)  # verdict unchanged
-
-    def test_no_hang_detection_without_timeout(self):
-        plan = FaultPlan(worker_hang=[0], hang_duration=0.15)
-        with WorkerPool(1, faults=plan, supervise_interval=0.01) as pool:
-            slow = pool.submit(lambda: "worth-waiting")
-            assert slow.result(timeout=10) == "worth-waiting"
-            assert pool.stats()["hangs_detected"] == 0
-
-    def test_crash_storm_drains_queue(self):
-        # Several crashes in a row: respawns must keep eating the queue
-        # and every future must resolve one way or the other.
-        plan = FaultPlan(worker_crash=[0, 2, 4])
-        with WorkerPool(2, faults=plan, supervise_interval=0.01) as pool:
-            futures = [pool.submit(lambda v=v: v) for v in range(10)]
-            outcomes = {"ok": 0, "crashed": 0}
-            for future in futures:
-                try:
-                    future.result(timeout=10)
-                    outcomes["ok"] += 1
-                except WorkerCrashedError:
-                    outcomes["crashed"] += 1
-        assert outcomes["ok"] + outcomes["crashed"] == 10
-        assert outcomes["crashed"] == 3
-        assert pool.stats()["crashes_detected"] == 3
-
-    def test_shutdown_completes_despite_hung_worker(self):
-        plan = FaultPlan(worker_hang=[0], hang_duration=5.0)
-        pool = WorkerPool(
-            1, hang_timeout=0.05, faults=plan, supervise_interval=0.01
-        )
-        stuck = pool.submit(lambda: None)
-        t0 = time.monotonic()
-        pool.shutdown(wait=True)
-        # Shutdown must not wait out the 5s stall: supervision abandons.
-        assert time.monotonic() - t0 < 3.0
-        with pytest.raises(WorkerCrashedError):
-            stuck.result(timeout=0)
-
-
-# ---------------------------------------------------------------------------
-# PlanCache fault hook
-# ---------------------------------------------------------------------------
 class TestCacheDrop:
-    def test_drop_oldest_on_scripted_lookup(self, tiny_code):
+    def test_drop_oldest_on_scripted_attempt(self, tiny_code, rng):
         plan = FaultPlan(cache_drop=[1])
-        cache = PlanCache(maxsize=4, faults=plan)
-        cache.get(tiny_code)        # lookup 0: builds, no drop
+        cache = PlanCache(maxsize=4)
+        llr = rng.standard_normal((1, tiny_code.n))
+        _decode_task(cache, tiny_code, llr, plan)  # attempt 0: builds
         assert len(cache) == 1
-        cache.get(tiny_code)        # lookup 1: drops LRU first -> rebuild
+        _decode_task(cache, tiny_code, llr, plan)  # 1: drops LRU first
         assert cache.evictions == 1
         assert cache.misses == 2    # the drop forced a second build
         assert len(cache) == 1
+        assert plan.injected()["cache_drop"] == 1
 
     def test_drop_oldest_empty_cache(self):
         assert PlanCache().drop_oldest() is False
@@ -274,10 +129,10 @@ class TestCacheDrop:
         # The cache's correctness contract under chaos: eviction
         # mid-flight only ever costs a rebuild, never a wrong decode.
         plan = FaultPlan(cache_drop=[1])
-        cache = PlanCache(maxsize=4, faults=plan)
+        cache = PlanCache(maxsize=4)
         llr = 4.0 * rng.standard_normal((3, tiny_code.n))
-        before = cache.get(tiny_code).decoder.decode(llr)
-        after = cache.get(tiny_code).decoder.decode(llr)  # rebuilt entry
-        assert np.array_equal(before.bits, after.bits)
-        assert np.array_equal(before.llr, after.llr)
-        assert np.array_equal(before.iterations, after.iterations)
+        before = _decode_task(cache, tiny_code, llr, plan)[1]
+        after = _decode_task(cache, tiny_code, llr, plan)[1]  # rebuilt
+        assert cache.evictions == 1
+        for name in ("bits", "llr", "iterations", "converged", "et_stopped"):
+            assert np.array_equal(before[name], after[name]), name

@@ -1,10 +1,10 @@
-"""ProcessWorkerPool: shm transport, supervision, segment lifecycle.
+"""Process workers: shm transport, segment lifecycle, the shared pool.
 
-The process-sharded executor (ROADMAP item 2a) carries the same
-contract as the thread :class:`~repro.runtime.WorkerPool` — every
-submitted future resolves, crashed and hung workers become
+A process :class:`~repro.runtime.WorkerPool` carries the pool contract
+of ``tests/test_runtime_pool.py`` — every submitted future resolves,
+crashed and hung workers become
 :class:`~repro.errors.WorkerCrashedError` plus a respawn — with two
-properties only a process pool has to prove:
+properties only process workers have to prove:
 
 1. **Shared-memory segments never leak.**  Every segment the parent
    creates is unlinked by shutdown; a segment whose worker crashed
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkerCrashedError
-from repro.runtime import FaultPlan, ProcessWorkerPool, parallel, shared_process_pool
+from repro.runtime import FaultPlan, WorkerPool, parallel, shared_process_pool
 from repro.runtime.parallel import cgroup_cpu_quota, usable_cores
 from repro.runtime.procworker import (
     ALIGNMENT,
@@ -94,13 +94,13 @@ class TestShmLayout:
         assert spec["et_stopped"] == ((3,), np.bool_)
 
     def test_run_task_without_segment(self):
-        state = WorkerState(cache_size=2)
+        state = WorkerState()
         assert run_task(state, "ping", None, None) == "pong"
         meta = {"round": 7}
         assert run_task(state, "echo", meta, None) == meta
 
     def test_run_task_scale_through_a_real_segment(self, rng):
-        state = WorkerState(cache_size=2)
+        state = WorkerState()
         x = rng.standard_normal((6, 5))
         total, ispecs, ospecs = plan_layout({"x": x}, {"x": (x.shape, x.dtype)})
         shm = shared_memory.SharedMemory(create=True, size=total)
@@ -117,7 +117,7 @@ class TestShmLayout:
             shm.unlink()
 
     def test_run_task_error_propagates(self):
-        state = WorkerState(cache_size=2)
+        state = WorkerState()
         with pytest.raises(ValueError, match="boom"):
             run_task(state, "raise", {"message": "boom"}, None)
 
@@ -128,31 +128,16 @@ class TestShmLayout:
             procworker.TASKS, "badtask", lambda s, m, i: (None, {"y": np.ones(3)})
         )
         with pytest.raises(RuntimeError, match="without a segment"):
-            run_task(WorkerState(cache_size=2), "badtask", None, None)
+            run_task(WorkerState(), "badtask", None, None)
 
 
 # ---------------------------------------------------------------------------
 # Pool round trips
 # ---------------------------------------------------------------------------
 class TestProcessPoolBasics:
-    def test_ping_and_echo_roundtrip(self):
-        with ProcessWorkerPool(1) as pool:
-            assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
-            meta = {"k": [1, 2, 3]}
-            assert pool.submit("echo", meta).result(timeout=TIMEOUT) == meta
-
-    def test_task_error_reaches_the_future(self):
-        with ProcessWorkerPool(1) as pool:
-            future = pool.submit("raise", {"message": "scripted failure"})
-            with pytest.raises(ValueError, match="scripted failure"):
-                future.result(timeout=TIMEOUT)
-            # The worker survived the task error.
-            assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
-            assert pool.stats()["crashes_detected"] == 0
-
     def test_arrays_travel_through_shared_memory(self, rng):
         x = rng.standard_normal((8, 16))
-        with ProcessWorkerPool(2) as pool:
+        with WorkerPool(2, "process") as pool:
             futures = [
                 pool.submit(
                     "scale",
@@ -167,22 +152,6 @@ class TestProcessPoolBasics:
                 assert payload is None
                 assert np.allclose(outputs["x"], x * k)
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            ProcessWorkerPool(0)
-        with pytest.raises(ValueError, match="hang_timeout"):
-            ProcessWorkerPool(1, hang_timeout=0.0)
-
-    def test_submit_after_shutdown_raises(self):
-        pool = ProcessWorkerPool(1)
-        pool.shutdown()
-        assert pool.closed
-        with pytest.raises(RuntimeError, match="shut-down"):
-            pool.submit("ping")
-        with pytest.raises(RuntimeError, match="shut-down"):
-            pool.submit("scale", {}, arrays={"x": np.ones(4)})
-        pool.shutdown()  # idempotent
-
     def test_unpicklable_meta_raises_to_the_caller_and_the_pool_serves_on(
         self,
     ):
@@ -190,7 +159,7 @@ class TestProcessPoolBasics:
         # it at assignment would fail on its collector thread: the
         # sleep would never resolve, nor would anything after it (and
         # a draining shutdown would wait for them for good).
-        pool = ProcessWorkerPool(1)
+        pool = WorkerPool(1, "process")
         try:
             busy = pool.submit("sleep", {"seconds": 0.3})
             # PicklingError or AttributeError, by Python version.
@@ -209,7 +178,7 @@ class TestProcessPoolBasics:
             pool.shutdown(wait=False)
 
     def test_stats_account_for_completed_tasks(self):
-        with ProcessWorkerPool(1) as pool:
+        with WorkerPool(1, "process") as pool:
             for _ in range(3):
                 pool.submit("ping").result(timeout=TIMEOUT)
             stats = pool.stats()
@@ -233,19 +202,19 @@ def _running(pid: int) -> bool:
 
 class TestOnDemandFork:
     def test_construction_forks_nothing(self):
-        with ProcessWorkerPool(2) as pool:
+        with WorkerPool(2, "process") as pool:
             assert pool.processes_spawned == 0
             assert pool.pids() == []
             assert pool.stats()["worker_peak_rss_mb"] == 0.0
 
     def test_sequential_tasks_share_one_worker(self):
-        with ProcessWorkerPool(2) as pool:
+        with WorkerPool(2, "process") as pool:
             for _ in range(4):
                 assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
             assert pool.processes_spawned == 1
 
     def test_a_second_worker_forks_only_while_the_first_is_busy(self):
-        with ProcessWorkerPool(2) as pool:
+        with WorkerPool(2, "process") as pool:
             busy = pool.submit("sleep", {"seconds": 0.5})
             assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
             assert pool.processes_spawned == 2
@@ -261,7 +230,7 @@ class TestOnDemandFork:
     )
     def test_a_task_queued_behind_a_dead_idle_worker_runs(self):
         # No supervisor polls here: the pass below is the only one.
-        with ProcessWorkerPool(1, supervise_interval=3600.0) as pool:
+        with WorkerPool(1, "process", supervise_interval=3600.0) as pool:
             pool.submit("ping").result(timeout=TIMEOUT)
             [pid] = pool.pids()
             os.kill(pid, signal.SIGKILL)
@@ -279,7 +248,7 @@ class TestOnDemandFork:
             assert stats["processes_spawned"] == 2
 
     def test_each_worker_reports_its_own_peak_rss(self):
-        with ProcessWorkerPool(2) as pool:
+        with WorkerPool(2, "process") as pool:
             busy = pool.submit("sleep", {"seconds": 0.3})
             pool.submit("ping").result(timeout=TIMEOUT)
             busy.result(timeout=TIMEOUT)
@@ -292,43 +261,10 @@ class TestOnDemandFork:
 # Supervision: crashes and hangs become typed errors plus respawns
 # ---------------------------------------------------------------------------
 class TestSupervision:
-    def test_scripted_crash_fails_future_and_respawns(self):
-        plan = FaultPlan(worker_crash=[0])
-        with ProcessWorkerPool(1, faults=plan) as pool:
-            future = pool.submit("ping")
-            with pytest.raises(WorkerCrashedError, match="died"):
-                future.result(timeout=TIMEOUT)
-            # The replacement worker serves the next task.
-            assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
-            stats = pool.stats()
-            assert stats["crashes_detected"] == 1
-            assert stats["respawns"] == 1
-            assert stats["processes_spawned"] == 2
-        assert plan.injected()["worker_crash"] == 1
-
-    def test_hung_worker_is_terminated_and_replaced(self):
-        with ProcessWorkerPool(1, hang_timeout=0.2) as pool:
-            future = pool.submit("sleep", {"seconds": 30.0})
-            with pytest.raises(WorkerCrashedError, match="hang_timeout"):
-                future.result(timeout=TIMEOUT)
-            assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
-            stats = pool.stats()
-            assert stats["hangs_detected"] == 1
-            assert stats["respawns"] == 1
-
-    def test_scripted_hang_directive_trips_the_supervisor(self):
-        plan = FaultPlan(worker_hang=[0], hang_duration=30.0)
-        with ProcessWorkerPool(1, hang_timeout=0.2, faults=plan) as pool:
-            future = pool.submit("ping")
-            with pytest.raises(WorkerCrashedError, match="hang_timeout"):
-                future.result(timeout=TIMEOUT)
-            assert pool.submit("ping").result(timeout=TIMEOUT) == "pong"
-        assert plan.injected()["worker_hang"] == 1
-
     def test_crash_mid_task_discards_the_segment(self, rng):
         plan = FaultPlan(worker_crash=[0])
         x = rng.standard_normal((4, 8))
-        with ProcessWorkerPool(1, faults=plan) as pool:
+        with WorkerPool(1, "process", faults=plan) as pool:
             future = pool.submit(
                 "scale", {"factor": 2.0},
                 arrays={"x": x}, out_spec={"x": (x.shape, x.dtype)},
@@ -354,7 +290,7 @@ class TestSupervision:
 class TestSegmentLifecycle:
     def test_segments_are_recycled_not_regrown(self, rng):
         x = rng.standard_normal((4, 8))
-        with ProcessWorkerPool(1) as pool:
+        with WorkerPool(1, "process") as pool:
             for _ in range(6):
                 pool.submit(
                     "scale", {"factor": 1.5},
@@ -368,7 +304,7 @@ class TestSegmentLifecycle:
 
     def test_shutdown_unlinks_every_segment(self, rng):
         x = rng.standard_normal((4, 8))
-        pool = ProcessWorkerPool(2)
+        pool = WorkerPool(2, "process")
         futures = [
             pool.submit(
                 "scale", {"factor": 2.0},
@@ -385,28 +321,6 @@ class TestSegmentLifecycle:
         assert stats["segments_unlinked"] == created
         assert pool.segment_names() == []
 
-    def test_nondraining_shutdown_resolves_and_cleans_up(self):
-        pool = ProcessWorkerPool(1)
-        futures = [
-            pool.submit("sleep", {"seconds": 0.4}) for _ in range(4)
-        ]
-        pool.shutdown(wait=False)
-        outcomes = []
-        for future in futures:
-            if future.cancelled():
-                outcomes.append("cancelled")
-                continue
-            try:
-                future.result(timeout=TIMEOUT)
-                outcomes.append("ok")
-            except WorkerCrashedError:
-                outcomes.append("crashed")
-        # Every future resolved one way or another; queued ones were
-        # cancelled, the in-flight one failed (or squeaked through).
-        assert len(outcomes) == 4
-        assert "cancelled" in outcomes
-        assert pool.segment_names() == []
-
     def test_no_resource_tracker_leaks_under_warnings_as_errors(self):
         """A pool-using interpreter exits clean with -W error.
 
@@ -418,9 +332,9 @@ class TestSegmentLifecycle:
         """
         script = (
             "import numpy as np\n"
-            "from repro.runtime import ProcessWorkerPool\n"
+            "from repro.runtime import WorkerPool\n"
             "x = np.arange(512, dtype=np.float64).reshape(8, 64)\n"
-            "with ProcessWorkerPool(2) as pool:\n"
+            "with WorkerPool(2, 'process') as pool:\n"
             "    futures = [\n"
             "        pool.submit('scale', {'factor': 2.0}, arrays={'x': x},\n"
             "                    out_spec={'x': (x.shape, x.dtype)})\n"

@@ -376,9 +376,9 @@ class TestExecutorGate:
     """The sweep's executor choice and the forced process path."""
 
     def _pool(self, workers=2):
-        from repro.runtime import ProcessWorkerPool
+        from repro.runtime import WorkerPool
 
-        return ProcessWorkerPool(workers)
+        return WorkerPool(workers, "process")
 
     def test_serial_engine_records_trivial_decision(self, small_code):
         engine = SweepEngine(small_code, seed=9)

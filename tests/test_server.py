@@ -11,7 +11,6 @@ import asyncio
 import gc
 import os
 import signal
-import threading
 import time
 import warnings
 
@@ -423,15 +422,14 @@ class TestDecodeServer:
         assert isinstance(exc, DecoderConfigError)
         assert field in str(exc)
 
-    def test_deadline_crosses_the_wire_as_deadline_exceeded(self):
-        service = DecodeService(  # a thread worker, wedged by gate.wait
+    def test_deadline_crosses_the_wire_as_deadline_exceeded(self, gate):
+        service = DecodeService(  # a thread worker, wedged by the gate
             max_batch=4, max_wait=0.001, workers=1, executor="thread",
             default_config=CONFIG,
         )
-        gate = threading.Event()
 
         async def scenario(server):
-            service._pool.submit(gate.wait)  # wedge the only worker
+            service._pool.submit("gate")  # wedge the only worker
             try:
                 async with await DecodeClient.connect(*server.address) as client:
                     with pytest.raises(DeadlineExceeded):
@@ -507,23 +505,22 @@ class TestDecodeServer:
         assert server.service.closed
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
 
-    def test_close_abandons_drain_after_timeout_with_hung_worker(self):
+    def test_close_abandons_drain_after_timeout_with_hung_worker(self, gate):
         # drain_timeout is a hard bound, even when a wedged worker (no
         # hang_timeout, no request deadline) means the service future
         # will never resolve: close() must abandon the laggard request
         # and fail the remote waiter via the closing connection, not
         # block forever on it.
-        service = DecodeService(  # a thread worker, wedged by gate.wait
+        service = DecodeService(  # a thread worker, wedged by the gate
             max_batch=4, max_wait=0.001, workers=1, executor="thread",
             default_config=CONFIG,
         )
-        gate = threading.Event()
 
         async def _main():
             server = await DecodeServer(
                 service=service, drain_timeout=0.3
             ).start()
-            service._pool.submit(gate.wait)  # wedge the only worker
+            service._pool.submit("gate")  # wedge the only worker
             client = await DecodeClient.connect(*server.address)
             pending = asyncio.create_task(
                 client.decode(WIMAX, _llr(1, seed=42))
@@ -544,15 +541,14 @@ class TestDecodeServer:
             service.close()
         assert elapsed < 5  # bounded by drain_timeout, not the worker
 
-    def test_closed_client_fails_pending_instead_of_hanging(self):
-        service = DecodeService(  # a thread worker, wedged by gate.wait
+    def test_closed_client_fails_pending_instead_of_hanging(self, gate):
+        service = DecodeService(  # a thread worker, wedged by the gate
             max_batch=4, max_wait=0.001, workers=1, executor="thread",
             default_config=CONFIG,
         )
-        gate = threading.Event()
 
         async def scenario(server):
-            service._pool.submit(gate.wait)
+            service._pool.submit("gate")
             client = await DecodeClient.connect(*server.address)
             pending = asyncio.create_task(
                 client.decode(WIMAX, _llr(1, seed=34))

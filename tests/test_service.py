@@ -1,10 +1,10 @@
 """Unit tests for the decode service stack.
 
 Covers the pieces individually — config cache keys, result slicing,
-plan sharing/compatibility, :class:`PlanCache` LRU behaviour,
-:class:`WorkerPool`, service batching triggers, FIFO delivery, error
-paths and metrics — while ``tests/test_service_stress.py`` exercises
-the whole stack under concurrent mixed-standard load.
+plan sharing/compatibility, :class:`PlanCache` LRU behaviour, service
+batching triggers, FIFO delivery, error paths and metrics — while
+``tests/test_service_stress.py`` exercises the whole stack under
+concurrent mixed-standard load.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.errors import (
     UnknownCodeError,
 )
 from repro.fixedpoint import QFormat
-from repro.runtime import FaultPlan, WorkerPool
+from repro.runtime import FaultPlan
 from repro.service import DecodeService, PlanCache
 from tests.conftest import make_noisy_llrs
 
@@ -325,25 +325,6 @@ class TestModeROMDecodePlan:
         ).decode(llr)
         fresh = LayeredDecoder(entry.code, config).decode(llr)
         _assert_identical(shared, fresh, "mode ROM plan")
-
-
-# ---------------------------------------------------------------------------
-# WorkerPool
-# ---------------------------------------------------------------------------
-class TestWorkerPool:
-    def test_submit_and_result(self):
-        with WorkerPool(2) as pool:
-            assert pool.submit(lambda a, b: a + b, 2, 3).result(timeout=10) == 5
-
-    def test_shutdown_rejects_new_work(self):
-        pool = WorkerPool(1)
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.submit(lambda: None)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +702,7 @@ def test_code_cache_info_reports_catalogue():
 # Hardening: deadlines, admission control, quotas (PR 6)
 # ---------------------------------------------------------------------------
 class TestDeadlines:
-    def test_default_timeout_applies_and_expires(self, small_code):
+    def test_default_timeout_applies_and_expires(self, small_code, gate):
         # max_wait is huge and nothing else arrives, so without a
         # deadline the request would sit queued ~forever; the service
         # default_timeout must fail it crisply instead.  (The tight
@@ -733,8 +714,7 @@ class TestDeadlines:
             max_batch=64, max_wait=30.0, workers=1, executor="thread",
             default_config=FLOAT_CONFIG, default_timeout=0.15,
         ) as svc:
-            gate = threading.Event()
-            svc._pool.submit(gate.wait)  # occupy the only worker thread
+            svc._pool.submit("gate")  # occupy the only worker thread
             future = svc.submit(WIMAX, _llr(WIMAX, 1, seed=50))
             t0 = _time.monotonic()
             with pytest.raises(DeadlineExceeded):
@@ -743,14 +723,13 @@ class TestDeadlines:
             gate.set()
         assert svc.metrics_snapshot()["requests_timed_out"] == 1
 
-    def test_explicit_timeout_overrides_default(self):
+    def test_explicit_timeout_overrides_default(self, gate):
         with DecodeService(
             max_batch=4, max_wait=0.001, workers=2, executor="thread",
             default_config=FLOAT_CONFIG, default_timeout=0.001,
         ) as svc:
-            gate = threading.Event()
-            svc._pool.submit(gate.wait)  # wedge both worker threads
-            svc._pool.submit(gate.wait)
+            svc._pool.submit("gate")  # wedge both worker threads
+            svc._pool.submit("gate")
             future = svc.submit(WIMAX, _llr(WIMAX, 1, seed=51), timeout=60.0)
             gate.set()
             future.result(timeout=30)  # generous explicit deadline: result

@@ -74,7 +74,7 @@ def _chaos_service(
         max_batch=4,
         max_wait=0.002,
         workers=2,
-        cache=PlanCache(maxsize=8, default_config=CONFIG, faults=plan),
+        cache=PlanCache(maxsize=8, default_config=CONFIG),
         default_config=CONFIG,
         queue_limit=64,
         overload_policy=policy,
@@ -256,15 +256,15 @@ def test_corrupted_payload_is_deterministic_garbage():
 
 
 def test_cache_drop_mid_flight_is_correctness_neutral():
-    # workers=1 makes cache lookups sequential, so every scripted drop
+    # workers=1 makes batch attempts sequential, so every scripted drop
     # lands on a freshly rebuilt entry: evictions == injected, exactly.
     plan = FaultPlan(seed=13, cache_drop=range(1, 6))
-    cache = PlanCache(maxsize=4, default_config=CONFIG, faults=plan)
+    cache = PlanCache(maxsize=4, default_config=CONFIG)
     llr = _llr(WIMAX, 2, seed=43)
     expected = _direct(WIMAX, llr)
-    with DecodeService(  # threads decode from the faulted cache
+    with DecodeService(  # threads decode from the service's cache
         max_batch=2, max_wait=0.001, workers=1, executor="thread",
-        cache=cache, default_config=CONFIG,
+        cache=cache, default_config=CONFIG, faults=plan,
     ) as svc:
         futures = [svc.submit(WIMAX, llr) for _ in range(6)]
         for future in futures:
@@ -364,39 +364,33 @@ def test_failed_merged_batch_splits_so_batchmates_survive():
     assert round(snap["mean_batch_frames"] * snap["batches_dispatched"]) == 5
 
 
-@pytest.mark.parametrize(
-    "scenario, executor",
-    [
-        ("retry-races-close", "thread"),
-        ("resolved-before-retry", "thread"),
-        ("resolved-before-retry", "process"),
-    ],
-)
+@pytest.mark.parametrize("executor", ("thread", "process"))
+@pytest.mark.parametrize("scenario", ("retry-races-close", "resolved-before-retry"))
 def test_worker_slot_released_on_paths_that_never_decode(scenario, executor):
     # Each pool submission holds one of the `workers` dispatch slots; a
     # path that drops a batch without decoding it must still give the
     # slot back, or the service loses a worker for good.
     llr = _llr(WIMAX, 1, seed=46)
     if scenario == "retry-races-close":
-        # The drain's batch stalls its worker past close()'s pool
-        # shutdown, then fails: the retry's pool.submit raises.
-        plan = FaultPlan(
-            seed=31, worker_hang=[0], backend_error=[0], hang_duration=0.3
-        )
+        # The drain's batch stalls its worker until supervision fails
+        # it, after close() began the pool's shutdown: the retry's
+        # pool.submit raises.
+        plan = FaultPlan(seed=31, worker_hang=[0], hang_duration=1.0)
         svc = DecodeService(
             max_batch=4, max_wait=30.0, workers=1, default_config=CONFIG,
             faults=plan, retry=RetryPolicy(attempts=2, backoff=0.001),
-            executor=executor,
+            hang_timeout=0.1, executor=executor,
         )
         future = svc.submit(WIMAX, llr)
         svc.close()
         with pytest.raises(ServiceClosedError, match="awaited retry"):
             future.result(timeout=0)
+        assert plan.injected()["worker_hang"] == 1
     else:
-        # The first attempt fails (under the process executor in the
-        # parent, before anything reaches the pool); the request times
-        # out during the backoff, so the retry that close() fires early
-        # finds no live request and never decodes.
+        # The first attempt fails in the service, before anything
+        # reaches the pool; the request times out during the backoff,
+        # so the retry that close() fires early finds no live request
+        # and never decodes.
         plan = FaultPlan(seed=37, backend_error=[0])
         svc = DecodeService(
             max_batch=4, max_wait=0.001, workers=1, default_config=CONFIG,
@@ -409,8 +403,8 @@ def test_worker_slot_released_on_paths_that_never_decode(scenario, executor):
             future.result(timeout=30)
         svc.close()
         assert plan.events()["batch"] == 1  # the retry never decoded
+        assert plan.injected()["backend_error"] == 1
     snap = svc.metrics_snapshot()
-    assert plan.injected()["backend_error"] == 1
     assert snap["requests_retried"] == 1
     assert snap["batches_in_flight"] == 0
 
