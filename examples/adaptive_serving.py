@@ -95,7 +95,7 @@ def measure_recorruption(code, config, llr) -> int:
     live = ~state.done_mask
     while not state.done:
         decoder.step(state, 1)
-        bits = (state.arrays[0] < 0).astype(np.uint8)
+        bits = (state.app < 0).astype(np.uint8)
         ever_codeword |= live & np.asarray(code.is_codeword(bits))
         live = ~state.done_mask
     return int((ever_codeword & ~decoder.finish(state).converged).sum())

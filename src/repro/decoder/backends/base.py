@@ -14,17 +14,26 @@ Every backend implements two entry points against a
 - :meth:`compute_check` — the bare check-node kernel on already-formed
   variable-to-check messages (the flooding check phase).
 
-**Batch contract.** The leading (batch) dimension is owned by the
+**Layout.** Working state is frame-minor: the APP memory is ``(N, B)``
+and the Λ memory ``(total_blocks, z, B)``, both C-contiguous, so one
+index of a layer's gather moves a run of ``B`` words.  A layer's
+``(d·z, B)`` block reaches the check kernel as a ``(1, d, z·B)`` view:
+every kernel is elementwise along axes 0 and 2 and reduces along axis
+1 (the degree), so it sees each degree row as one contiguous run and
+needs no notion of frames at all.
+
+**Batch contract.** The trailing (batch) dimension is owned by the
 decoder and *shrinks between calls* under active-frame compaction
 (``DecoderConfig(compact_frames=True)``, the default): frames whose
 early-termination rule fired are scattered out of the working arrays
 after each full iteration.  Backends must therefore size every kernel
 invocation from the arrays they are handed — never cache the batch size
 at construction — and must be elementwise along the batch axis, so that
-removing a row cannot perturb any surviving row's arithmetic (this is
-what makes compacted and uncompacted decodes bit-identical).  Per-call
-working buffers should come from :meth:`DecodePlan.scratch`, whose
-leading dimension is a capacity: shrinking batches reuse one allocation.
+removing a frame cannot perturb any surviving frame's arithmetic (this
+is what makes compacted and uncompacted decodes bit-identical).
+Per-call working buffers should come from :meth:`DecodePlan.scratch`,
+whose storage is a flat capacity: shrinking batches reuse one
+allocation.
 
 **Kernel selection.** Which check-node kernel implementation a backend
 runs is routed through :data:`KERNEL_TABLE`: the configuration maps to
@@ -145,16 +154,20 @@ class DecoderBackend:
         Parameters
         ----------
         l_messages:
-            ``(B, N)`` APP memory (raw integers in fixed-point mode).
+            ``(N, B)`` APP memory (raw integers in fixed-point mode).
         lambdas:
-            ``(B, total_blocks, z)`` packed check-message memory.
+            ``(total_blocks, z, B)`` packed check-message memory.
         layer_pos:
             Position in the plan's processing order.
         """
         raise NotImplementedError
 
     def compute_check(self, lam_vc: np.ndarray, layer_pos: int) -> np.ndarray:
-        """Check messages ``Λ`` for given v→c messages ``(B, d_l, z)``."""
+        """Check messages ``Λ`` for given v→c messages ``(1, d_l, M)``.
+
+        ``M`` is ``z·B`` for one layer, or several layers' blocks side
+        by side (the flooding check phase).
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:

@@ -3,22 +3,24 @@
 Where the :class:`~repro.decoder.backends.reference.ReferenceBackend`
 pays per-edge Python-level kernel calls (BP) or an ``argsort`` over the
 degree axis (min-sum family), this backend restructures the same math
-into a handful of full-width ``(B, d, z)`` passes.  Kernel selection is
-routed through :data:`~repro.decoder.backends.base.KERNEL_TABLE`; every
-slot below is bit-identical to the reference in fixed point and exactly
-equal (same float ops on the same values) in float, except the Φ-domain
-BP float kernel whose documented contract is decision agreement.
+into a handful of full-width passes over a layer's ``(1, d, z·B)``
+block.  Kernel selection is routed through
+:data:`~repro.decoder.backends.base.KERNEL_TABLE`; every slot below is
+bit-identical to the reference in fixed point and exactly equal (same
+float ops on the same values) in float, except the Φ-domain BP float
+kernel whose documented contract is decision agreement.
 
-A layer update gathers the layer's APP values into one ``(B, d, z)``
-block (the chip's circular shifter), runs the check kernel on it, and
-writes ``λ + Λ'`` back, saturating in place with ``ndarray.clip``.  At
-the 1–3-frame batches a service decodes, the number of numpy calls *is*
-the cost, so batches of up to :data:`ONE_CALL_MAX_FRAMES` gather with one
-``take`` through the layer's rotation table
-(:attr:`DecodePlan.flat_indices`) and write back with one indexed
-assignment (well defined because a layer's indices are distinct, which
-:meth:`DecodePlan.validate` checks); larger batches, where the cost per
-element dominates, copy each block's rotation as two contiguous slices.
+A layer update gathers the layer's APP rows into one ``(d·z, B)``
+block with one ``take`` through its rotation table
+(:attr:`DecodePlan.flat_indices`; the chip's circular shifter), runs
+the check kernel on it as a ``(1, d, z·B)`` view, and writes ``λ + Λ'``
+back with one indexed assignment (well defined because a layer's
+indices are distinct, which :meth:`DecodePlan.validate` checks),
+saturating in place with ``ndarray.clip``.  The state is frame-minor,
+so each index moves a contiguous row of ``B`` words and each degree row
+of the kernel's view is one contiguous run of ``z·B`` elements: the
+kernels below walk those rows with whole-row numpy calls.  The same
+form serves every batch size.
 
 - **BP sum-subtract, fixed point** — the ⊞ fold (guarded,
   :class:`~repro.decoder.siso.GuardedFixedBPSumSubKernel`, or the
@@ -34,9 +36,11 @@ element dominates, copy each block's rotation as two contiguous slices.
   vectorized) table folds.
 - **BP sum-subtract, float** — the sequential ⊞ fold is replaced by the
   Φ-domain "tanh rule": one transform ``Φ(|λ|)``, exclusive
-  prefix/suffix cumulative sums along the degree axis, one inverse
-  transform, one sign-parity pass.  The whole kernel runs in
-  **float32** (``work_dtype``) for memory bandwidth.
+  prefix/suffix running sums over the degree rows (in ``np.cumsum``'s
+  own addition order, so the values are the cumsum form's), one
+  inverse transform, one sign-parity pass applied as a sign bit.  The
+  whole kernel runs in **float32** (``work_dtype``) for memory
+  bandwidth.
 - **Min-sum family (plain / normalized / offset), float and fixed** —
   the reference kernel's ``argsort`` over the degree axis is replaced
   by a two-smallest reduction (one ``argmin``, one masked ``min``) plus
@@ -81,19 +85,6 @@ PAIR_TABLE_MAX_BITS = 10
 #: table fold.
 GUARD_ROM_MAX_ENTRIES = 1 << 20
 
-#: Largest batch (frames) whose layer update gathers with one ``take``
-#: over :attr:`DecodePlan.flat_indices` and writes back with one indexed
-#: assignment; larger batches copy each block's rotation as two
-#: contiguous slices (:attr:`DecodePlan.block_ranges`).  Every numpy call
-#: costs ~1 µs however small its operands, so at the service's 1–3-frame
-#: batches the 4·d slice copies cost more than the data they move; but
-#: ``take`` and fancy assignment move one element at a time (the
-#: write-back steps a whole APP row between consecutive elements), while
-#: slices copy rows.  Measured on a 2-vCPU VM (802.16e z96 Q8.2 decodes),
-#: the one-call form ties the slices at 8–12 frames and is 10–15% slower
-#: at 16–32 frames and 34–40% slower at 64–256.
-ONE_CALL_MAX_FRAMES = 8
-
 #: Φ pole freeze point: inputs below this are treated as this (see
 #: :func:`~repro.fixedpoint.boxplus.phi_transform`).  The smallest
 #: float32 normal keeps ``2 / expm1(pole)`` finite; it only guards true
@@ -104,6 +95,26 @@ PHI_POLE_F32 = float(np.finfo(np.float32).tiny)
 def _check_degree(lam):
     if lam.shape[1] < 2:
         raise ValueError("check-node degree must be >= 2")
+
+
+#: Row width in bytes → the opaque dtype of one row (building a dtype
+#: costs more than the view it serves).
+_ROW_DTYPES: dict[int, np.dtype] = {}
+
+
+def _rows(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous ``(R, B)`` array as ``R`` opaque words of one row.
+
+    An indexed assignment through this view is numpy's one-dimensional
+    fancy assignment, which copies each row whole; on the 2-D array it
+    walks a ``B``-element subspace per index, 2–7× slower on a z96
+    layer at every ``B`` measured (1–64).
+    """
+    width = array.strides[0]
+    row = _ROW_DTYPES.get(width)
+    if row is None:
+        row = _ROW_DTYPES.setdefault(width, np.dtype((np.void, width)))
+    return array.view(row).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -226,45 +237,31 @@ class FastBackend(DecoderBackend):
     # ------------------------------------------------------------------
     def update_layer(self, l_messages, lambdas, layer_pos):
         plan = self.plan
+        flat = plan.flat_indices[layer_pos]
         sl = plan.lambda_slices[layer_pos]
-        batch = l_messages.shape[0]
-        z = plan.z
+        memory = lambdas[sl]
         # The rotation of each block is the circular shifter of Fig. 7.
-        # The gathered block carries λ through the kernel and then the
-        # APP write-back (λ + Λ'); see ONE_CALL_MAX_FRAMES for the two
-        # ways of moving it.
-        one_call = batch <= ONE_CALL_MAX_FRAMES
-        if one_call:
-            flat = plan.flat_indices[layer_pos]
-            # ``take(out=)`` is buffered (one more copy), so it allocates.
-            gathered = l_messages.take(flat, axis=1)
-            lam_new = gathered.reshape(-1, *plan.gather_indices[layer_pos].shape)
-        else:
-            ranges = plan.block_ranges[layer_pos]
-            lam_new = plan.scratch(
-                "upd", (batch, len(ranges), z), l_messages.dtype
-            )
-            for i, (start, shift) in enumerate(ranges):
-                split = z - shift
-                lam_new[:, i, :split] = l_messages[:, start + shift : start + z]
-                lam_new[:, i, split:] = l_messages[:, start : start + shift]
-        lam_new -= lambdas[:, sl, :]
+        # One take moves each of the layer's d·z APP rows whole, B words
+        # at a time; the block then carries λ through the kernel and the
+        # APP write-back (λ + Λ').  ``take(out=)`` is buffered (one more
+        # copy), so it allocates.
+        rows = _rows(l_messages)
+        gathered = rows.take(flat)
+        lam_new = gathered.view(l_messages.dtype).reshape(
+            1, memory.shape[0], -1
+        )
+        stored = memory.reshape(lam_new.shape)
+        lam_new -= stored
         # The ndarray method skips np.clip's Python wrappers, and is one
         # pass where np.minimum + np.maximum are two.
         lam_new.clip(-self._msg_clip, self._msg_clip, out=lam_new)
         if self._fixed:
-            break_zero_messages(lam_new, lambdas[:, sl, :])
+            break_zero_messages(lam_new, stored)
         lambda_new = self._kernel(lam_new)
         np.add(lam_new, lambda_new, out=lam_new)
         lam_new.clip(-self._app_clip, self._app_clip, out=lam_new)
-        if one_call:
-            l_messages[:, flat] = gathered
-        else:
-            for i, (start, shift) in enumerate(ranges):
-                split = z - shift
-                l_messages[:, start + shift : start + z] = lam_new[:, i, :split]
-                l_messages[:, start : start + shift] = lam_new[:, i, split:]
-        lambdas[:, sl, :] = lambda_new
+        rows[flat] = gathered
+        lambdas[sl] = lambda_new.reshape(memory.shape)
 
     def compute_check(self, lam_vc, layer_pos):
         return self._kernel(lam_vc)
@@ -348,26 +345,43 @@ class FastBackend(DecoderBackend):
     # ------------------------------------------------------------------
     def _bp_sumsub_phi(self, lam):
         _check_degree(lam)
-        phi = self.plan.scratch("phi", lam.shape, lam.dtype)
+        scratch = self.plan.scratch
+        phi = scratch("phi", lam.shape, lam.dtype)
         np.abs(lam, out=phi)
         phi_transform(phi, PHI_POLE_F32, out=phi)
-        # The exclusive Φ-sum is formed from prefix + suffix cumulative
-        # sums rather than ``Σ Φ - Φ_i``: the subtraction cancels
-        # catastrophically when edge i dominates the sum (one weak edge
-        # among saturated ones — exactly the extrinsic that matters),
-        # while the two-sided form never subtracts at all.
-        forward = self.plan.scratch("phi_fwd", lam.shape, lam.dtype)
-        np.cumsum(phi, axis=1, out=forward)
-        backward = self.plan.scratch("phi_bwd", lam.shape, lam.dtype)
-        np.cumsum(phi[:, ::-1, :], axis=1, out=backward)
-        extrinsic = self.plan.scratch("phi_ext", lam.shape, lam.dtype)
-        extrinsic[:, 0, :] = 0.0
-        extrinsic[:, 1:, :] = forward[:, :-1, :]
-        extrinsic[:, :-1, :] += backward[:, ::-1, :][:, 1:, :]
+        # The exclusive Φ-sum of edge i is prefix(i-1) + suffix(i+1),
+        # never ``Σ Φ - Φ_i``: the subtraction cancels catastrophically
+        # when edge i dominates the sum (one weak edge among saturated
+        # ones — exactly the extrinsic that matters), while the
+        # two-sided form never subtracts at all.  Both running sums walk
+        # the degree rows, adding left to right and right to left in
+        # float32, which is the order ``np.cumsum`` along the degree
+        # axis adds in: the values are those of the cumsum form.
+        extrinsic = scratch("phi_ext", lam.shape, lam.dtype)
+        degree = lam.shape[1]
+        np.copyto(extrinsic[:, 1], phi[:, 0])
+        for i in range(2, degree):
+            np.add(extrinsic[:, i - 1], phi[:, i - 1], out=extrinsic[:, i])
+        suffix = scratch("phi_suffix", phi[:, 0].shape, lam.dtype)
+        np.copyto(suffix, phi[:, degree - 1])
+        for i in range(degree - 2, 0, -1):
+            extrinsic[:, i] += suffix
+            suffix += phi[:, i]
+        np.copyto(extrinsic[:, 0], suffix)
         magnitude = phi_transform(extrinsic, PHI_POLE_F32, out=extrinsic)
-        negative = lam < 0
-        flip = negative ^ (negative.sum(axis=1, keepdims=True) & 1).astype(bool)
-        out = np.where(flip, -magnitude, magnitude)
+        # The extrinsic sign (own sign × the check's sign parity) is
+        # applied as a sign bit: the magnitudes are non-negative, so
+        # XOR-ing in the flip is exactly ``where(flip, -mag, mag)``
+        # without its per-element branch, which mispredicts on random
+        # signs (~5 ns per element).  λ's own sign bit stands in for
+        # ``λ < 0``: the two differ only at λ = -0.0, and a check with
+        # any zero is zeroed below whatever its signs.
+        uint = np.dtype(f"u{lam.dtype.itemsize}")
+        sign_bit = uint.type(1 << (8 * uint.itemsize - 1))
+        sign = np.bitwise_and(lam.view(uint), sign_bit)
+        sign ^= np.bitwise_xor.reduce(sign, axis=1, keepdims=True)
+        sign ^= magnitude.view(uint)
+        out = sign.view(lam.dtype)
         out.clip(-self._msg_clip, self._msg_clip, out=out)
         # The reference ⊞/⊟ recursion propagates sign(0) = 0: one exactly
         # zero message (an erasure) zeroes every output of the check.

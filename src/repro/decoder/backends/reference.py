@@ -35,33 +35,37 @@ class ReferenceBackend(DecoderBackend):
 
     def update_layer(self, l_messages, lambdas, layer_pos):
         config = self.config
-        idx = self.plan.gather_indices[layer_pos]
+        flat = self.plan.flat_indices[layer_pos]
         sl = self.plan.lambda_slices[layer_pos]
-        gathered = l_messages[:, idx]  # (B, d, z), APP format
+        memory = lambdas[sl]  # (d, z, B)
+        shape = (1, memory.shape[0], -1)
+        gathered = l_messages[flat].reshape(shape)  # (1, d, z·B), APP format
+        stored = memory.reshape(shape)
         if config.is_fixed_point:
             # λ enters the SISO through the narrow message port; the APP
             # write-back uses the wider accumulator format.
             lam_new = config.qformat.saturate(
-                gathered.astype(np.int64) - lambdas[:, sl, :]
+                gathered.astype(np.int64) - stored
             )
-            break_zero_messages(lam_new, lambdas[:, sl, :])
+            break_zero_messages(lam_new, stored)
             lambda_new = self.kernel(lam_new)
-            l_messages[:, idx] = config.app_qformat.saturate(
+            updated = config.app_qformat.saturate(
                 lam_new.astype(np.int64) + lambda_new
             )
         else:
             lam_new = np.clip(
-                gathered - lambdas[:, sl, :],
+                gathered - stored,
                 -config.llr_clip,
                 config.llr_clip,
             )
             lambda_new = self.kernel(lam_new)
-            l_messages[:, idx] = np.clip(
+            updated = np.clip(
                 lam_new + lambda_new,
                 -config.effective_app_clip,
                 config.effective_app_clip,
             )
-        lambdas[:, sl, :] = lambda_new
+        l_messages[flat] = updated.reshape(flat.size, -1)
+        lambdas[sl] = lambda_new.reshape(memory.shape)
 
     def compute_check(self, lam_vc, layer_pos):
         return self.kernel(lam_vc)

@@ -5,7 +5,9 @@ cost track ``average_iterations`` instead of ``max_iterations``: most
 frames stop after a few iterations and the datapath idles.  The software
 analogue is *active-frame compaction*: each full iteration, frames whose
 stop rule fired are scattered out of the working batch (APP memory, Λ
-memory, monitor state) and the plan executes only on the surviving rows.
+memory, monitor state) and the plan executes only on the surviving
+frames.  The working state is frame-minor, so a frame is a *column* of
+every working array (its trailing index) and compaction keeps columns.
 
 :class:`ActiveFrameSet` owns that bookkeeping for both schedules.  It
 supports two modes, selected by ``DecoderConfig(compact_frames=...)``:
@@ -22,9 +24,9 @@ supports two modes, selected by ``DecoderConfig(compact_frames=...)``:
 
 Both modes produce bit-identical :class:`~repro.decoder.api.DecodeResult`
 contents because every check-node kernel and every monitor update is
-elementwise along the batch axis — removing a row cannot change any other
-row's arithmetic.  ``tests/test_backend_properties.py`` asserts this
-equivalence across schedules, backends and datapaths.
+elementwise along the batch axis — removing a frame cannot change any
+other frame's arithmetic.  ``tests/test_backend_properties.py`` asserts
+this equivalence across schedules, backends and datapaths.
 """
 
 from __future__ import annotations
@@ -49,18 +51,20 @@ class ActiveFrameSet:
     Attributes
     ----------
     out_llr, iterations, et_stopped:
-        ``(B, N)`` / ``(B,)`` full-batch output arrays, filled in as
-        frames retire; valid once :attr:`all_done` is True (or the decode
-        loop ends at ``max_iterations``, which retires the remainder).
+        ``(N, B)`` frame-minor / ``(B,)`` full-batch output arrays,
+        filled in as frames retire; valid once :attr:`all_done` is True
+        (or the decode loop ends at ``max_iterations``, which retires
+        the remainder).
     """
 
     def __init__(self, batch: int, n: int, dtype, compact: bool = True):
         self.compact = bool(compact)
-        self.out_llr = np.zeros((batch, n), dtype=dtype)
+        self.out_llr = np.zeros((n, batch), dtype=dtype)
         self.iterations = np.zeros(batch, dtype=np.int64)
         self.et_stopped = np.zeros(batch, dtype=bool)
-        #: Original frame index of each row still in the working batch
-        #: (compacted mode) / of each not-yet-latched frame (uncompacted).
+        #: Original frame index of each column still in the working
+        #: batch (compacted mode) / of each not-yet-latched frame
+        #: (uncompacted).
         self._active_ids = np.arange(batch)
         #: Uncompacted mode: frames whose outputs are already latched.
         self._done = np.zeros(batch, dtype=bool)
@@ -77,7 +81,7 @@ class ActiveFrameSet:
         this between steps to see which frames have retired.
         """
         if self.compact:
-            mask = np.ones(self.out_llr.shape[0], dtype=bool)
+            mask = np.ones(self.out_llr.shape[1], dtype=bool)
             mask[self._active_ids] = False
             return mask
         return self._done.copy()
@@ -96,17 +100,18 @@ class ActiveFrameSet:
         Parameters
         ----------
         stop_mask:
-            Boolean mask over the *working batch rows* (the compacted
-            rows in compacted mode, the full batch otherwise).
+            Boolean mask over the *working batch* (the compacted frames
+            in compacted mode, the full batch otherwise).
         working_llr:
-            Current APP memory, same leading dimension as ``stop_mask``.
+            Current ``(N, B_working)`` APP memory.
         iteration:
             1-based full iteration just completed.
         max_iterations:
             Configured iteration budget (distinguishes ET stops).
         extra:
-            Any further batch-first working arrays (Λ memories, channel
-            copies, ...) that must shrink in lockstep with the batch.
+            Any further batch-trailing working arrays (Λ memories,
+            channel copies, ...) that must shrink in lockstep with the
+            batch.
         monitor:
             The early-termination monitor whose state tracks the batch,
             or ``None``.
@@ -114,29 +119,33 @@ class ActiveFrameSet:
         Returns
         -------
         tuple
-            ``(working_llr, *extra)`` — compacted views in compacted
-            mode when frames retired, the inputs unchanged otherwise.
-            Callers must rebind their locals from this return value so
-            no working array can miss the shrink.
+            ``(working_llr, *extra)`` — C-contiguous compacted copies in
+            compacted mode when frames retired, the inputs unchanged
+            otherwise.  Callers must rebind their locals from this
+            return value so no working array can miss the shrink.
         """
         if self.compact:
             if not stop_mask.any():
                 return (working_llr, *extra)
             retiring = self._active_ids[stop_mask]
-            self.out_llr[retiring] = working_llr[stop_mask]
+            self.out_llr[:, retiring] = working_llr[:, stop_mask]
             self.iterations[retiring] = iteration
             self.et_stopped[retiring] = iteration < max_iterations
-            keep = ~stop_mask
+            keep = np.flatnonzero(~stop_mask)
             self._active_ids = self._active_ids[keep]
             if monitor is not None:
                 monitor.compact(keep)
-            return (working_llr[keep], *(arr[keep] for arr in extra))
+            # take() returns C-contiguous arrays: the fast backend's
+            # row views need whole contiguous APP rows.
+            return tuple(
+                arr.take(keep, axis=-1) for arr in (working_llr, *extra)
+            )
         # Uncompacted: ignore frames that already latched (their monitor
-        # state keeps evolving over the carried-through rows, so the rule
-        # may re-fire — the first firing is the recorded one).
+        # state keeps evolving over the carried-through columns, so the
+        # rule may re-fire — the first firing is the recorded one).
         newly = stop_mask & ~self._done
         if newly.any():
-            self.out_llr[newly] = working_llr[newly]
+            self.out_llr[:, newly] = working_llr[:, newly]
             self.iterations[newly] = iteration
             self.et_stopped[newly] = iteration < max_iterations
             self._done |= newly

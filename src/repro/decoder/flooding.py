@@ -22,8 +22,7 @@ from repro.codes.qc import QCLDPCCode
 from repro.decoder.api import DecodeResult, DecoderConfig
 from repro.decoder.backends import make_backend
 from repro.decoder.backends.base import break_zero_messages
-from repro.decoder.compaction import ActiveFrameSet
-from repro.decoder.early_termination import make_monitor
+from repro.decoder.layered import frame_minor_llrs
 from repro.decoder.plan import DecodePlan, check_plan_compatible
 from repro.decoder.state import DecodeState, advance, assemble_result
 
@@ -63,75 +62,55 @@ class FloodingDecoder:
         """Condition the input and build a resumable decode handle.
 
         Same contract as :meth:`LayeredDecoder.begin_decode
-        <repro.decoder.layered.LayeredDecoder.begin_decode>`.
+        <repro.decoder.layered.LayeredDecoder.begin_decode>`, and the
+        same conditioning and frame-minor ``(N, B)`` state.
         """
-        config = self.config
-        llr = np.asarray(channel_llr)
-        if llr.ndim == 1:
-            llr = llr[None, :]
-        if llr.ndim != 2 or llr.shape[1] != self.code.n:
-            raise ValueError(f"channel LLRs must be (B, {self.code.n})")
-
-        dtype = self.backend.work_dtype
-        if config.is_fixed_point:
-            if np.issubdtype(llr.dtype, np.integer):
-                channel = config.qformat.saturate(llr.astype(np.int64))
-            else:
-                channel = config.qformat.quantize_nonzero(llr)
-        else:
-            channel = np.clip(
-                llr.astype(np.float64), -config.llr_clip, config.llr_clip
-            ).astype(dtype, copy=False)
-
-        batch = channel.shape[0]
+        channel = frame_minor_llrs(
+            self.config, self.code.n, self.backend.work_dtype, channel_llr
+        )
+        batch = channel.shape[1]
         if batch == 0:
             return DecodeState.empty(
                 DecodeResult.empty(self.code.n, self.code.n_info)
             )
-        l_total = channel.copy()
         lam = np.zeros(
-            (batch, self.plan.total_blocks, self.code.z), dtype=dtype
+            (self.plan.total_blocks, self.code.z, batch), dtype=channel.dtype
         )
-
-        monitor = make_monitor(config, self.code, channel)
-        frames = ActiveFrameSet(
-            batch, self.code.n, channel.dtype, compact=config.compact_frames
+        return DecodeState.start(
+            self.code, self.config, (channel.copy(), lam, channel)
         )
-        return DecodeState((l_total, lam, channel), monitor, frames)
 
     def _iterate_once(self, state: DecodeState) -> None:
         """One flooding iteration: check phase, then variable phase."""
         config = self.config
         plan = self.plan
         l_total, lam, channel = state.arrays
-        z = self.code.z
         # Check phase: all layers from the frozen APP of last
         # iteration.  Layers sharing a check degree have identically
-        # shaped messages, and every kernel is elementwise along the
-        # z axis, so each degree bucket is evaluated in one kernel
-        # call on the z-concatenated messages (bit-identical to
-        # per-layer calls, far fewer Python-level kernel invocations).
+        # shaped messages, and every kernel is elementwise along its
+        # last axis, so each degree bucket is evaluated in one kernel
+        # call on the layers' (1, d, z·B) blocks side by side
+        # (bit-identical to per-layer calls, far fewer Python-level
+        # kernel invocations).
         new_lambda = np.empty_like(lam)
         for degree, positions in plan.degree_buckets.items():
+            shape = (1, degree, -1)
             gathered = []
             for pos in positions:
-                idx = plan.gather_indices[pos]
-                sl = plan.lambda_slices[pos]
+                app = l_total[plan.flat_indices[pos]].reshape(shape)
+                stored = lam[plan.lambda_slices[pos]].reshape(shape)
                 if config.is_fixed_point:
                     # v->c messages pass through the narrow message
                     # port (zero-broken, like the layered path).
                     lam_vc = config.qformat.saturate(
-                        l_total[:, idx].astype(np.int64)
-                        - lam[:, sl, :]
+                        app.astype(np.int64) - stored
                     )
-                    break_zero_messages(lam_vc, lam[:, sl, :])
+                    break_zero_messages(lam_vc, stored)
                     gathered.append(lam_vc)
                 else:
                     gathered.append(
                         np.clip(
-                            l_total[:, idx] - lam[:, sl, :],
-                            -config.llr_clip,
-                            config.llr_clip,
+                            app - stored, -config.llr_clip, config.llr_clip
                         )
                     )
             stacked = (
@@ -140,9 +119,11 @@ class FloodingDecoder:
                 else gathered[0]
             )
             checked = self.backend.compute_check(stacked, positions[0])
+            width = stacked.shape[2] // len(positions)
             for i, pos in enumerate(positions):
-                sl = plan.lambda_slices[pos]
-                new_lambda[:, sl, :] = checked[:, :, i * z : (i + 1) * z]
+                block = new_lambda[plan.lambda_slices[pos]]
+                part = checked[0, :, i * width : (i + 1) * width]
+                block[...] = part.reshape(block.shape)
         lam = new_lambda
 
         # Variable phase: APP = channel + sum of check messages, held in
@@ -152,8 +133,9 @@ class FloodingDecoder:
             copy=True,
         )
         for pos, flat in enumerate(plan.flat_indices):
-            sl = plan.lambda_slices[pos]
-            accumulator[:, flat] += lam[:, sl, :].reshape(lam.shape[0], -1)
+            accumulator[flat] += lam[plan.lambda_slices[pos]].reshape(
+                flat.size, -1
+            )
         if config.is_fixed_point:
             l_total = config.app_qformat.saturate(accumulator)
         else:

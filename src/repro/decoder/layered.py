@@ -10,14 +10,21 @@ One full iteration processes the ``j`` layers in sequence; for each layer:
 3. **Write back** the updated ``L`` and ``Λ``.
 
 The code structure is compiled once into a
-:class:`~repro.decoder.plan.DecodePlan` (flat int32 gather/scatter
-tables — the software analogue of the chip's shift/address ROMs) and the
+:class:`~repro.decoder.plan.DecodePlan` (flat gather/scatter tables —
+the software analogue of the chip's shift/address ROMs) and the
 per-layer arithmetic is delegated to a backend
 (:mod:`repro.decoder.backends`): the fused ``fast`` kernels by default,
 or the ``reference`` oracle when ``DecoderConfig(backend=...)`` names
 it.  Both backends are vectorized across the batch *and* the ``z``
 parallel check rows of each layer — the same data parallelism the
 hardware exploits with its ``z`` SISO cores.
+
+The working state is frame-minor: ``begin_decode`` conditions the
+``(B, N)`` input once and transposes it into a C-contiguous ``(N, B)``
+APP memory, with Λ as ``(total_blocks, z, B)``, so every gather index
+moves a contiguous run of ``B`` words (the chip moves one rotated
+memory word per block column).  ``finish`` transposes the latched
+outputs back; every public shape stays ``(B, N)``.
 
 Float and fixed-point datapaths share this module; the difference is the
 dtype, the kernel, and saturating vs clipped arithmetic.
@@ -30,14 +37,8 @@ import numpy as np
 from repro.codes.qc import QCLDPCCode
 from repro.decoder.api import DecodeResult, DecoderConfig
 from repro.decoder.backends import make_backend
-from repro.decoder.compaction import ActiveFrameSet
-from repro.decoder.early_termination import make_monitor
 from repro.decoder.plan import DecodePlan, check_plan_compatible
-from repro.decoder.state import (
-    DecodeState,
-    advance,
-    assemble_result,
-)
+from repro.decoder.state import DecodeState, advance, assemble_result
 
 
 def prepare_channel_llrs(
@@ -46,8 +47,9 @@ def prepare_channel_llrs(
     """Normalize channel input to a ``(B, N)`` array in datapath units.
 
     Input conditioning is quantization with zero-breaking in fixed
-    point and clipping in float.  Returns the working array and whether
-    the input was a single ``(N,)`` frame.
+    point and clipping in float; both schedules condition through here.
+    Returns the working array and whether the input was a single
+    ``(N,)`` frame.
     """
     llr = np.asarray(channel_llr)
     single = llr.ndim == 1
@@ -73,6 +75,18 @@ def prepare_channel_llrs(
             llr.astype(np.float64), -config.llr_clip, config.llr_clip
         )
     return working, single
+
+
+def frame_minor_llrs(
+    config: DecoderConfig, n: int, dtype, channel_llr: np.ndarray
+) -> np.ndarray:
+    """Conditioned channel LLRs as a C-contiguous frame-minor ``(N, B)``.
+
+    :func:`prepare_channel_llrs`, then the decode state's one transpose
+    (and cast to the backend's working ``dtype``) in a single copy.
+    """
+    working, _ = prepare_channel_llrs(config, n, channel_llr)
+    return np.ascontiguousarray(working.T, dtype=dtype)
 
 
 class LayeredDecoder:
@@ -121,13 +135,6 @@ class LayeredDecoder:
         self.backend = make_backend(self.plan, self.config)
 
     # ------------------------------------------------------------------
-    # Input conditioning
-    # ------------------------------------------------------------------
-    def _prepare_llrs(self, channel_llr: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Normalize input to a (B, N) working array in datapath units."""
-        return prepare_channel_llrs(self.config, self.code.n, channel_llr)
-
-    # ------------------------------------------------------------------
     # Main decode loop (resumable: begin_decode / step / finish)
     # ------------------------------------------------------------------
     def begin_decode(self, channel_llr: np.ndarray) -> DecodeState:
@@ -138,30 +145,24 @@ class LayeredDecoder:
         begin + step-to-completion + finish, so sliced decodes are
         bit-identical to one-shot ones by construction.
         """
-        config = self.config
-        l_active, _ = self._prepare_llrs(channel_llr)
-        batch = l_active.shape[0]
-        if batch == 0:
+        app = frame_minor_llrs(
+            self.config, self.code.n, self.backend.work_dtype, channel_llr
+        )
+        if app.shape[1] == 0:
             return DecodeState.empty(
                 DecodeResult.empty(self.code.n, self.code.n_info)
             )
-        dtype = self.backend.work_dtype
-        l_active = l_active.astype(dtype, copy=False)
-        lam_active = np.zeros(
-            (batch, self.plan.total_blocks, self.code.z), dtype=dtype
+        lam = np.zeros(
+            (self.plan.total_blocks, self.code.z, app.shape[1]),
+            dtype=app.dtype,
         )
-
-        monitor = make_monitor(config, self.code, l_active)
-        frames = ActiveFrameSet(
-            batch, self.code.n, dtype, compact=config.compact_frames
-        )
-        return DecodeState((l_active, lam_active), monitor, frames)
+        return DecodeState.start(self.code, self.config, (app, lam))
 
     def _iterate_once(self, state: DecodeState) -> None:
         """One full iteration of layer updates over the working arrays."""
-        l_active, lam_active = state.arrays
+        app, lam = state.arrays
         for layer_pos in range(self.plan.num_layers):
-            self.backend.update_layer(l_active, lam_active, layer_pos)
+            self.backend.update_layer(app, lam, layer_pos)
 
     def step(
         self, state: DecodeState, max_new_iterations: int | None = None

@@ -5,16 +5,20 @@ structure is recomputed at run time: the controller walks precomputed
 shift/address ROMs and the datapath streams messages through them.  A
 :class:`DecodePlan` plays the same role here — it lays out a
 :class:`~repro.codes.qc.QCLDPCCode` (plus an optional layer permutation)
-once as ``int32`` gather/scatter indices, per-layer degree tables, and a
-pool of reusable working buffers.  The indices are views of the code's
-own :attr:`~repro.codes.qc.QCLDPCCode.layer_indices` in processing
-order, not a copy.  Decoders build a plan at construction and every
-backend (see :mod:`repro.decoder.backends`) executes against it, so the
-per-call cost is pure arithmetic.
+once as gather/scatter indices, per-layer degree tables, and a pool of
+reusable working buffers.  Decoders build a plan at construction and
+every backend (see :mod:`repro.decoder.backends`) executes against it,
+so the per-call cost is pure arithmetic.
+
+The decoders keep their state frame-minor: the APP memory is ``(N, B)``
+and the Λ memory ``(total_blocks, z, B)``, so one index of a layer's
+gather moves a contiguous run of ``B`` words — the software form of the
+chip's one rotated memory word per block column.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -85,14 +89,14 @@ class DecodePlan:
 
     Attributes
     ----------
-    gather_indices:
-        Per processed layer, an ``(d_l, z)`` int32 array of the variable
-        indices the layer reads (and writes back).
     flat_indices:
-        The same indices flattened to ``(d_l * z,)`` — the form the
-        backends use for single-shot ``take``/scatter.
+        Per processed layer, the ``(d_l * z,)`` variable indices the
+        layer reads (and writes back): the code's own
+        :attr:`~repro.codes.qc.QCLDPCCode.layer_indices` flattened, in
+        ``intp`` (an int32 table pays a conversion to ``intp`` on every
+        ``take`` and indexed write).
     lambda_slices:
-        Per layer, the slice of the packed ``(B, total_blocks, z)``
+        Per layer, the slice of the packed ``(total_blocks, z, B)``
         check-message memory that belongs to it.
     layer_degrees:
         ``(num_layers,)`` check degrees ``d_l``.
@@ -106,36 +110,22 @@ class DecodePlan:
     def __init__(self, code: QCLDPCCode, layer_order: tuple[int, ...] | None = None):
         self.code = code
         self.layer_order = resolve_layer_order(code, layer_order)
-        z = code.z
-        gather: list[np.ndarray] = []
         flat: list[np.ndarray] = []
-        ranges: list[list[tuple[int, int]]] = []
         slices: list[slice] = []
         degrees: list[int] = []
         offset = 0
         for layer in self.layer_order:
-            blocks = code.layer_tables[layer]
-            idx = code.layer_indices[layer]
-            gather.append(idx)
-            flat.append(idx.reshape(-1))
-            ranges.append(
-                [(int(block.column) * z, int(block.shift)) for block in blocks]
-            )
-            slices.append(slice(offset, offset + len(blocks)))
-            degrees.append(len(blocks))
-            offset += len(blocks)
-        self.gather_indices = gather
+            degree = len(code.layer_tables[layer])
+            flat.append(code.layer_indices[layer].reshape(-1).astype(np.intp))
+            slices.append(slice(offset, offset + degree))
+            degrees.append(degree)
+            offset += degree
         self.flat_indices = flat
-        #: Per layer, ``(column_start, shift)`` pairs: block ``i`` reads
-        #: (and writes) the cyclic rotation by ``shift`` of the APP range
-        #: ``[column_start, column_start + z)`` — two contiguous slice
-        #: copies, the software form of the chip's circular shifter.
-        self.block_ranges = ranges
         self.lambda_slices = slices
         self.layer_degrees = np.asarray(degrees, dtype=np.int32)
         self.total_blocks = offset
-        self.num_layers = len(gather)
-        self.z = z
+        self.num_layers = len(flat)
+        self.z = code.z
         self.n = code.n
         self.degree_buckets: dict[int, list[int]] = {}
         for pos, degree in enumerate(degrees):
@@ -145,14 +135,17 @@ class DecodePlan:
     def scratch(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """A reusable working buffer for one backend stage.
 
-        The leading dimension is treated as a *capacity*: buffers are
-        keyed by ``(key, shape[1:], dtype)`` and sized to the largest
-        leading dimension requested so far, and a prefix view is returned.
-        Active-frame compaction shrinks the batch monotonically within a
+        Buffers are keyed by ``(key, dtype)`` and hold a flat *capacity*:
+        the largest element count requested so far.  A request returns
+        a C-contiguous prefix of that storage reshaped to ``shape``.
+        The batch is the trailing dimension of frame-minor state, and
+        active-frame compaction shrinks it monotonically within a
         decode, so every per-iteration request after the first is served
-        from the same allocation instead of minting (and thrashing) one
-        slot per surviving batch size.  Contents are unspecified on
-        return; the returned prefix view is C-contiguous.
+        from the same allocation whatever its shape, instead of minting
+        (and thrashing) one slot per surviving batch size.  Contents are
+        unspecified on return, and two requests under one key share
+        storage, so a stage must not hold a buffer across a second
+        request for its key.
 
         The buffer pool is **thread-local**: the compiled index tables
         are immutable after construction and every mutable working
@@ -165,12 +158,13 @@ class DecodePlan:
         pools = getattr(self._scratch, "pools", None)
         if pools is None:
             pools = self._scratch.pools = {}
-        slot = (key, shape[1:], np.dtype(dtype))
+        slot = (key, np.dtype(dtype))
+        size = math.prod(shape)
         buffer = pools.get(slot)
-        if buffer is None or buffer.shape[0] < shape[0]:
-            buffer = np.empty(shape, dtype=dtype)
+        if buffer is None or buffer.size < size:
+            buffer = np.empty(size, dtype=dtype)
             pools[slot] = buffer
-        return buffer[: shape[0]]
+        return buffer[:size].reshape(shape)
 
     def validate(self) -> None:
         """Check the layout the backends rely on.

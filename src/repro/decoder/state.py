@@ -9,6 +9,11 @@ caller can also step it a few iterations at a time and inspect which
 frames have retired (the re-corruption probe of
 ``examples/adaptive_serving.py`` steps one iteration at a time).
 
+The working arrays are frame-minor — the APP memory first, ``(N, B)``,
+then the schedule's other batch-trailing arrays — and the public
+surface stays ``(B, N)``: :attr:`DecodeState.app` is a transposed view,
+and :func:`assemble_result` transposes the latched outputs back.
+
 Both schedules share the same loop discipline (kernel work, monitor
 update gated off the final iteration, forced retirement at the budget,
 compaction rebind, early exit on ``all_done``), so :func:`advance`
@@ -26,6 +31,8 @@ from typing import Callable
 import numpy as np
 
 from repro.decoder.api import DecodeResult, DecoderConfig
+from repro.decoder.compaction import ActiveFrameSet
+from repro.decoder.early_termination import make_monitor
 
 
 class DecodeState:
@@ -45,6 +52,10 @@ class DecodeState:
         The :class:`~repro.decoder.compaction.ActiveFrameSet` holding
         latched outputs — ``frames.done_mask`` says which batch rows
         already have final results.
+    arrays:
+        The frame-minor working arrays, APP memory first (``(N,
+        B_active)``); the schedule owns them.  Read the APP through
+        :attr:`app` instead.
     """
 
     __slots__ = (
@@ -58,6 +69,36 @@ class DecodeState:
         self.iteration = 0
         self.done = False
         self.empty_result: DecodeResult | None = None
+
+    @classmethod
+    def start(cls, code, config: DecoderConfig, arrays) -> "DecodeState":
+        """A fresh state over frame-minor working ``arrays``.
+
+        ``arrays[0]`` is the conditioned ``(N, B)`` APP memory; the
+        early-termination monitor reads its pre-iteration decisions.
+        """
+        app = arrays[0]
+        monitor = make_monitor(config, code, app)
+        frames = ActiveFrameSet(
+            app.shape[1], code.n, app.dtype, compact=config.compact_frames
+        )
+        return cls(arrays, monitor, frames)
+
+    @property
+    def app(self) -> np.ndarray:
+        """Read-only ``(B_active, N)`` view of the working APP memory.
+
+        A transposed view of the frame-minor state, not a copy: it
+        tracks the decode as :meth:`step` runs, in datapath units (raw
+        integers in fixed point).  Rows are the frames still in the
+        working batch — every frame without compaction
+        (``compact_frames=False``), the not-yet-retired ones with it.
+        """
+        if not self.arrays:
+            return np.empty((0, self.empty_result.llr.shape[1]))
+        view = self.arrays[0].T
+        view.flags.writeable = False
+        return view
 
     @property
     def done_mask(self) -> np.ndarray:
@@ -105,7 +146,7 @@ def advance(
         if state.monitor is not None and iteration < config.max_iterations:
             stop_mask = state.monitor.update(working)
         else:
-            stop_mask = np.zeros(working.shape[0], dtype=bool)
+            stop_mask = np.zeros(working.shape[1], dtype=bool)
         if iteration == config.max_iterations:
             stop_mask[:] = True
 
@@ -130,21 +171,24 @@ def assemble_result(
         )
     if state.empty_result is not None:
         return state.empty_result
-    frames = state.frames
-    bits = (frames.out_llr < 0).astype(np.uint8)
-    converged = np.asarray(code.is_codeword(bits))
+    out = state.frames.out_llr  # (N, B), frame-minor
+    hard = np.less(out, 0).view(np.uint8)
+    # The syndrome works frame-minor inside, so the transposed view
+    # reaches it without a copy.
+    converged = np.asarray(code.is_codeword(hard.T))
     if converged.ndim == 0:
         converged = converged[None]
+    # Always report float64 LLRs, even when the backend worked in a
+    # narrower dtype.
     llr_out = (
-        config.qformat.dequantize(frames.out_llr)
+        config.qformat.dequantize(out)
         if config.is_fixed_point
-        # Always report float64 LLRs even when the backend worked in a
-        # narrower dtype.
-        else frames.out_llr.astype(np.float64, copy=False)
+        else out
     )
+    frames = state.frames
     return DecodeResult(
-        bits=bits,
-        llr=llr_out,
+        bits=np.ascontiguousarray(hard.T),
+        llr=np.ascontiguousarray(llr_out.T, dtype=np.float64),
         iterations=frames.iterations,
         converged=converged,
         et_stopped=frames.et_stopped,

@@ -84,6 +84,7 @@ from repro.decoder.api import DecodeResult, DecoderConfig
 from repro.errors import (
     DeadlineExceeded,
     ServiceClosedError,
+    ServiceError,
     ServiceOverloaded,
 )
 from repro.power.model import PowerModel
@@ -370,6 +371,10 @@ class DecodeService:
         #: net walks this so nothing can leak unresolved.
         self._live: set[_Request] = set()
         self._delivery_lock = threading.Lock()
+        #: per thread, how many outcome deliveries it is inside: a
+        #: request future's done-callback runs there, and close() from
+        #: it would wait on the delivery that is running it.
+        self._delivering = threading.local()
         #: pending retry backoffs: token -> (Timer, group, attempt).
         #: Guarded by _retry_lock; timers run off-pool so a backoff
         #: never occupies a decode worker or trips its hang clock.
@@ -711,7 +716,22 @@ class DecodeService:
         request that still has no outcome when the pool is down — which
         only a lost worker can cause — is failed with
         :class:`~repro.errors.ServiceClosedError` rather than leaked.
+
+        Raises
+        ------
+        ServiceError
+            When called from a request future's done-callback: the
+            callback runs inside an outcome delivery, on a thread the
+            drain waits for, so it could never return.  Nothing has
+            changed when this raises; close from another thread.
         """
+        if getattr(self._delivering, "depth", 0):
+            raise ServiceError(
+                "DecodeService.close() was called from a request future's "
+                "done-callback, on a thread that delivers this service's "
+                "outcomes; the drain would wait on that callback forever. "
+                "Close the service from another thread."
+            )
         with self._cond:
             self._closing = True
             self._cond.notify_all()
@@ -1127,6 +1147,16 @@ class DecodeService:
             self._cond.notify_all()
         if firing:
             return True  # the draining thread will deliver this too
+        depth = getattr(self._delivering, "depth", 0)
+        self._delivering.depth = depth + 1
+        try:
+            self._fire_held(client)
+        finally:
+            self._delivering.depth = depth
+        return True
+
+    def _fire_held(self, client: str) -> None:
+        """Resolve ``client``'s held outcomes in sequence (see _deliver)."""
         while True:
             with self._delivery_lock:
                 held = self._held[client]
@@ -1143,7 +1173,7 @@ class DecodeService:
                         del self._held[client]
                         self._next_deliverable.pop(client, None)
                         self._client_seq.pop(client, None)
-                    return True
+                    return
                 self._next_deliverable[client] = next_seq + 1
             ready, ready_kind, ready_payload = item
             # A client may have cancel()ed its still-pending future;

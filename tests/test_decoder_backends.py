@@ -27,8 +27,11 @@ Contracts verified here:
 - on the full-size 802.16e and 802.11n modes, 10 iterations with paper
   ET, Q8.2 BP and min-sum agree across backends bit for bit, and
   compaction is invisible in both datapaths;
-- the fast layer update's one-call and slice-copy gather/write-back
-  forms give exactly the same result;
+- the fast float Φ kernel equals its cumsum formulation bit for bit at
+  every degree from 2 to 20;
+- the frame-minor layer update of a batch equals the same frames
+  updated one at a time, and the fast layer update equals the
+  reference one from arbitrary state;
 - registry selection: ``fast`` by default whatever the environment
   says, ``reference`` by name, unknown-name errors.
 """
@@ -54,16 +57,16 @@ from repro.decoder import (
 from repro.decoder.backends import fast as fast_module
 from repro.decoder.backends import make_backend
 from repro.decoder.backends.base import KERNEL_TABLE
-from repro.decoder.backends.fast import (
-    ONE_CALL_MAX_FRAMES,
-    FastBackend,
-    fold_roms,
-)
+from repro.decoder.backends.fast import PHI_POLE_F32, FastBackend, fold_roms
 from repro.decoder.backends.reference import ReferenceBackend
 from repro.encoder import make_encoder
 from repro.errors import DecoderConfigError
 from repro.fixedpoint import QFormat
-from repro.fixedpoint.boxplus import FixedBoxOps, make_guard_tables
+from repro.fixedpoint.boxplus import (
+    FixedBoxOps,
+    make_guard_tables,
+    phi_transform,
+)
 from tests.conftest import make_noisy_llrs
 
 #: One small mode per supported standard (DMB-T has a single z).
@@ -294,10 +297,9 @@ class TestFixedPointBitExact:
         self._assert_identical(ref, fast)
 
     def test_layered_bit_identical_large_batch(self, mode):
-        # Above ONE_CALL_MAX_FRAMES the fast layer update copies block
-        # slices; compaction then drops the batch back to the one-call
-        # gather as frames converge.
-        code, llr = self._workload(mode, frames=2 * ONE_CALL_MAX_FRAMES)
+        # Compaction shrinks the frame-minor batch column by column as
+        # frames converge.
+        code, llr = self._workload(mode, frames=16)
         ref, fast = decode_pair(
             code, llr, dict(qformat=QFormat(8, 2), max_iterations=4)
         )
@@ -499,11 +501,38 @@ class TestFloatEquivalence:
         assert np.array_equal(ref.bits, fast.bits)
 
 
-class TestLayerUpdateForms:
-    """The one-call and the slice-copy gather/write-back are the same
-    layer update: a batch above ONE_CALL_MAX_FRAMES (slices) equals the
-    same frames updated one at a time (one call), exactly."""
+def random_state(code, plan, config, batch, rng, work_dtype):
+    """Arbitrary frame-minor ``(N, B)`` APP and ``(blocks, z, B)`` Λ state.
 
+    Railed APP words and zero messages are the corners decodes rarely
+    reach; frame 0 gets the railed APP words and frame 1 (when there is
+    one) the zero messages.
+    """
+    shape = (plan.total_blocks, plan.z, batch)
+    if config.is_fixed_point:
+        app_max = config.app_qformat.max_int
+        msg_max = config.qformat.max_int
+        app = rng.integers(-app_max, app_max + 1, (code.n, batch))
+        lam = rng.integers(-msg_max, msg_max + 1, shape)
+        app[::3, 0] = app_max
+        lam[:, ::2, 1:2] = 0
+    else:
+        app = rng.normal(0.0, 8.0, (code.n, batch))
+        lam = rng.normal(0.0, 3.0, shape)
+        app[::3, 0] = config.effective_app_clip
+    return app.astype(work_dtype), lam.astype(work_dtype)
+
+
+class TestFrameMinorLayerUpdate:
+    """A frame-minor ``(N, B)`` batch update is B independent updates.
+
+    The layer update is one ``take`` of a ``(d·z, B)`` block and one
+    indexed write-back at every batch size, and the kernels see the
+    block as ``(1, d, z·B)``: a batch of B frames must equal the same
+    frames updated one at a time, layer after layer, exactly.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 2, 9, 33])
     @pytest.mark.parametrize(
         "config_kwargs",
         [
@@ -515,34 +544,30 @@ class TestLayerUpdateForms:
         ],
         ids=["bp-q82", "bp-q82-guard0", "nms-q82", "bp-float", "ms-float"],
     )
-    def test_slices_equal_one_call(self, small_code, rng, config_kwargs):
+    def test_batch_equals_single_frames(
+        self, small_code, rng, config_kwargs, batch
+    ):
         plan = DecodePlan(small_code)
         config = DecoderConfig(backend="fast", **config_kwargs)
         backend = FastBackend(plan, config)
-        batch = ONE_CALL_MAX_FRAMES + 1
-        shape = (batch, plan.total_blocks, plan.z)
-        if config.is_fixed_point:
-            app = rng.integers(-300, 301, (batch, small_code.n))
-            lam = rng.integers(-100, 101, shape)
-        else:
-            app = rng.normal(0.0, 8.0, (batch, small_code.n))
-            lam = rng.normal(0.0, 3.0, shape)
-        app = app.astype(backend.work_dtype)
-        lam = lam.astype(backend.work_dtype)
-        app_rows, lam_rows = app.copy(), lam.copy()
+        app, lam = random_state(
+            small_code, plan, config, batch, rng, backend.work_dtype
+        )
+        frames = [
+            (app[:, [b]].copy(), lam[..., [b]].copy()) for b in range(batch)
+        ]
         for pos in range(plan.num_layers):
             backend.update_layer(app, lam, pos)
-            for row in range(batch):
-                backend.update_layer(
-                    app_rows[row : row + 1], lam_rows[row : row + 1], pos
-                )
-        assert np.array_equal(app, app_rows)
-        assert np.array_equal(lam, lam_rows)
+            for frame_app, frame_lam in frames:
+                backend.update_layer(frame_app, frame_lam, pos)
+        assert np.array_equal(app, np.hstack([f[0] for f in frames]))
+        assert np.array_equal(lam, np.concatenate([f[1] for f in frames], -1))
 
 
 class TestLayerUpdateMatchesReference:
     """The fast layer update equals the reference one from *arbitrary*
-    APP/Λ state, layer by layer, for every kernel slot it compiles.
+    frame-minor APP/Λ state, layer by layer, for every kernel slot it
+    compiles.
 
     Decodes only reach the states a channel drives them to; random
     states (railed APP words, saturated Λ memories, zero messages) hit
@@ -584,21 +609,7 @@ class TestLayerUpdateMatchesReference:
         config = DecoderConfig(**config_kwargs)
         reference = ReferenceBackend(plan, config.replace(backend="reference"))
         fast = FastBackend(plan, config.replace(backend="fast"))
-        batch = 3
-        shape = (batch, plan.total_blocks, plan.z)
-        if config.is_fixed_point:
-            app_max = config.app_qformat.max_int
-            msg_max = config.qformat.max_int
-            app = rng.integers(-app_max, app_max + 1, (batch, tiny_code.n))
-            lam = rng.integers(-msg_max, msg_max + 1, shape)
-            # Railed APP words and zero messages: the corners decodes
-            # rarely reach.
-            app[0, ::3] = app_max
-            lam[1, :, ::2] = 0
-        else:
-            app = rng.normal(0.0, 8.0, (batch, tiny_code.n))
-            lam = rng.normal(0.0, 3.0, shape)
-            app[0, ::3] = config.effective_app_clip
+        app, lam = random_state(tiny_code, plan, config, 3, rng, np.float64)
         app_ref = app.astype(reference.work_dtype)
         lam_ref = lam.astype(reference.work_dtype)
         app_fast = app.astype(fast.work_dtype)
@@ -608,6 +619,63 @@ class TestLayerUpdateMatchesReference:
             fast.update_layer(app_fast, lam_fast, pos)
             assert np.array_equal(app_ref, app_fast), f"APP after layer {pos}"
             assert np.array_equal(lam_ref, lam_fast), f"Λ after layer {pos}"
+
+
+def phi_kernel_cumsum_oracle(lam, msg_clip):
+    """The float Φ kernel in its earlier cumsum formulation.
+
+    The exclusive Φ-sums come from ``np.cumsum`` along the degree axis,
+    forward and reversed, and the extrinsic sign from ``np.where`` —
+    the reference formulation the row-walking kernel must reproduce
+    bit for bit.
+    """
+    phi = phi_transform(np.abs(lam), PHI_POLE_F32)
+    forward = np.cumsum(phi, axis=1)
+    backward = np.cumsum(phi[:, ::-1, :], axis=1)
+    extrinsic = np.empty_like(phi)
+    extrinsic[:, 0, :] = 0.0
+    extrinsic[:, 1:, :] = forward[:, :-1, :]
+    extrinsic[:, :-1, :] += backward[:, ::-1, :][:, 1:, :]
+    magnitude = phi_transform(extrinsic, PHI_POLE_F32)
+    negative = lam < 0
+    flip = negative ^ (negative.sum(axis=1, keepdims=True) & 1).astype(bool)
+    out = np.where(flip, -magnitude, magnitude)
+    out.clip(-msg_clip, msg_clip, out=out)
+    erased = (lam == 0).any(axis=1, keepdims=True)
+    out[np.broadcast_to(erased, out.shape)] = 0
+    return out
+
+
+class TestPhiKernelExact:
+    """The fast float Φ kernel equals its cumsum formulation exactly.
+
+    The float goldens pin the reference backend, and the property
+    harness checks fast float BP only for decision agreement, so this
+    is what pins the fast float path's outputs: the same float32 sums
+    in the same order, at every degree the registry's codes use (4 to
+    18) and the running sums' edge cases (2 and 3).  Blocks hold exact
+    zeros (erasures), values below the Φ pole, and fully saturated
+    checks; outputs are compared as bytes, so -0.0 and +0.0 differ.
+    """
+
+    @pytest.mark.parametrize("degree", range(2, 21))
+    def test_matches_cumsum_formulation(self, degree):
+        config = DecoderConfig(backend="fast")
+        backend = FastBackend(DecodePlan(get_code("802.16e:1/2:z24")), config)
+        rng = np.random.default_rng(1000 + degree)
+        width = 96 * 5
+        lam = rng.normal(0.0, 6.0, (1, degree, width)).astype(np.float32)
+        lam[0, :, : width // 8] = np.float32(config.llr_clip)
+        lam[0, :, width // 8 : width // 4] = -np.float32(config.llr_clip)
+        lam[0, rng.integers(0, degree, 16), rng.integers(0, width, 16)] = 0.0
+        lam[0, rng.integers(0, degree, 16), rng.integers(0, width, 16)] = (
+            np.float32(PHI_POLE_F32) / 4
+        )
+        lam[0, rng.integers(0, degree, 16), rng.integers(0, width, 16)] = 1e-30
+        out = backend._kernel(lam)
+        expected = phi_kernel_cumsum_oracle(lam, config.llr_clip)
+        assert out.dtype == expected.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestFoldROMs:

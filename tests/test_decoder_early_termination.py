@@ -1,4 +1,9 @@
-"""Tests for the early-termination monitors (paper §IV)."""
+"""Tests for the early-termination monitors (paper §IV).
+
+Monitors read frame-minor state, as the decoders keep it: APP LLRs are
+``(N, B)`` and the paper rule's hard decisions ``(n_info, B)``.  The
+cases below are written frame by frame and transposed on the way in.
+"""
 
 import numpy as np
 import pytest
@@ -7,23 +12,31 @@ from repro.decoder.early_termination import (
     CombinedEarlyTermination,
     PaperEarlyTermination,
     SyndromeEarlyTermination,
+    _column_any,
     make_early_termination,
 )
 
 
 def make_llr(bits, magnitude):
-    return np.where(np.asarray(bits) == 0, magnitude, -magnitude).astype(float)
+    """Frame-minor ``(N, B)`` LLRs of ``(B, N)`` bits."""
+    bits = np.asarray(bits)
+    return np.where(bits == 0, magnitude, -magnitude).astype(float).T
+
+
+def frames(hard):
+    """Frame-minor ``(n_info, B)`` hard decisions of ``(B, n_info)`` rows."""
+    return np.array(hard, dtype=np.uint8).T
 
 
 class TestPaperRule:
     def test_fires_when_stable_and_confident(self):
-        initial = np.array([[0, 1, 0]], dtype=np.uint8)
+        initial = frames([[0, 1, 0]])
         monitor = PaperEarlyTermination(3, threshold=1.0, initial_hard=initial)
         llr = make_llr([[0, 1, 0, 1, 1]], 5.0)
         assert monitor.update(llr).tolist() == [True]
 
     def test_does_not_fire_on_changed_decisions(self):
-        initial = np.array([[0, 0, 0]], dtype=np.uint8)
+        initial = frames([[0, 0, 0]])
         monitor = PaperEarlyTermination(3, threshold=1.0, initial_hard=initial)
         llr = make_llr([[0, 1, 0, 0, 0]], 5.0)  # bit 1 changed
         assert monitor.update(llr).tolist() == [False]
@@ -31,28 +44,26 @@ class TestPaperRule:
         assert monitor.update(llr).tolist() == [True]
 
     def test_does_not_fire_below_threshold(self):
-        initial = np.array([[0, 1, 0]], dtype=np.uint8)
+        initial = frames([[0, 1, 0]])
         monitor = PaperEarlyTermination(3, threshold=2.0, initial_hard=initial)
         llr = make_llr([[0, 1, 0, 1, 1]], 1.5)  # confident but < threshold
         assert monitor.update(llr).tolist() == [False]
 
     def test_only_info_bits_matter(self):
-        initial = np.array([[0, 1]], dtype=np.uint8)
+        initial = frames([[0, 1]])
         monitor = PaperEarlyTermination(2, threshold=1.0, initial_hard=initial)
         # Parity bits (beyond n_info=2) are weak/unstable — irrelevant.
-        llr = np.array([[5.0, -5.0, 0.01, -0.01]])
+        llr = np.array([[5.0, -5.0, 0.01, -0.01]]).T
         assert monitor.update(llr).tolist() == [True]
 
     def test_per_frame_masks(self):
-        initial = np.array([[0, 1], [0, 0]], dtype=np.uint8)
+        initial = frames([[0, 1], [0, 0]])
         monitor = PaperEarlyTermination(2, threshold=1.0, initial_hard=initial)
-        llr = np.stack(
-            [make_llr([0, 1, 0], 5.0), make_llr([1, 0, 0], 5.0)]
-        )
+        llr = make_llr([[0, 1, 0], [1, 0, 0]], 5.0)
         assert monitor.update(llr).tolist() == [True, False]
 
     def test_compact(self):
-        initial = np.zeros((3, 2), dtype=np.uint8)
+        initial = np.zeros((2, 3), dtype=np.uint8)
         monitor = PaperEarlyTermination(2, threshold=1.0, initial_hard=initial)
         monitor.compact(np.array([True, False, True]))
         assert monitor._previous_hard.shape == (2, 2)
@@ -82,7 +93,7 @@ class TestCombined:
         llr = make_llr(codewords, 0.5)  # codeword but weak LLRs
         paper = PaperEarlyTermination(
             tiny_code.n_info, threshold=1.0,
-            initial_hard=codewords[:, : tiny_code.n_info].astype(np.uint8),
+            initial_hard=frames(codewords[:, : tiny_code.n_info]),
         )
         combined = CombinedEarlyTermination(
             paper, SyndromeEarlyTermination(tiny_code)
@@ -97,7 +108,7 @@ class TestCombined:
 
 class TestFactory:
     def test_none(self, tiny_code):
-        initial = np.zeros((1, tiny_code.n_info), dtype=np.uint8)
+        initial = np.zeros((tiny_code.n_info, 1), dtype=np.uint8)
         assert make_early_termination("none", tiny_code, 1.0, initial) is None
 
     @pytest.mark.parametrize(
@@ -109,12 +120,45 @@ class TestFactory:
         ],
     )
     def test_modes(self, mode, cls, tiny_code):
-        initial = np.zeros((1, tiny_code.n_info), dtype=np.uint8)
+        initial = np.zeros((tiny_code.n_info, 1), dtype=np.uint8)
         assert isinstance(
             make_early_termination(mode, tiny_code, 1.0, initial), cls
         )
 
     def test_unknown_raises(self, tiny_code):
-        initial = np.zeros((1, tiny_code.n_info), dtype=np.uint8)
+        initial = np.zeros((tiny_code.n_info, 1), dtype=np.uint8)
         with pytest.raises(ValueError):
             make_early_termination("never", tiny_code, 1.0, initial)
+
+
+class TestColumnReduction:
+    """The paper rule's one reduction over the info rows, folded."""
+
+    @pytest.mark.parametrize(
+        "rows, batch",
+        [
+            (1152, 1), (1152, 2), (972, 3), (1152, 32), (300, 5), (40, 64),
+            (7, 300),
+        ],
+    )
+    def test_column_any_matches_numpy(self, rows, batch):
+        rng = np.random.default_rng(rows * batch)
+        for density in (0.0, 0.001, 0.5):
+            mask = rng.random((rows, batch)) < density
+            # A lone set bit in the last row and the remainder rows.
+            mask[-1, batch // 2] = density > 0
+            assert np.array_equal(_column_any(mask), mask.any(axis=0))
+
+    def test_paper_rule_per_frame_on_a_folded_batch(self):
+        n_info, batch = 1152, 6
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2, (batch, n_info + 100))
+        llr = make_llr(bits, 5.0)
+        llr[100, 1] = 0.5 * np.sign(llr[100, 1])   # weak info bit
+        llr[n_info - 1, 3] *= -1                    # changed info bit
+        llr[n_info + 50, 4] = 0.0                   # parity bits don't count
+        initial = frames(bits[:, :n_info])
+        monitor = PaperEarlyTermination(n_info, 1.0, initial)
+        assert monitor.update(llr).tolist() == [
+            True, False, True, False, True, True,
+        ]

@@ -152,3 +152,52 @@ class TestBatchConsistency:
             single = decoder.decode(llr[i])
             assert np.array_equal(single.bits[0], batch.bits[i])
             assert single.iterations[0] == batch.iterations[i]
+
+
+class TestFrameMinorState:
+    """The working state is frame-minor; every public shape stays (B, N)."""
+
+    @pytest.mark.parametrize(
+        "qformat", [None, QFormat(8, 2)], ids=["float", "q8.2"]
+    )
+    def test_state_layout_and_app_view(self, small_code, small_encoder, qformat):
+        _, _, llr = make_noisy_llrs(small_code, small_encoder, 2.0, 5, 86)
+        config = DecoderConfig(qformat=qformat, compact_frames=False)
+        decoder = LayeredDecoder(small_code, config)
+        state = decoder.begin_decode(llr)
+        app, lam = state.arrays
+        assert app.shape == (small_code.n, 5) and app.flags.c_contiguous
+        assert lam.shape == (decoder.plan.total_blocks, small_code.z, 5)
+        decoder.step(state, 1)
+        view = state.app
+        # A read-only transposed view of the live APP memory, no copy.
+        assert view.shape == (5, small_code.n)
+        assert np.shares_memory(view, state.arrays[0])
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 0
+        assert np.array_equal(view, state.arrays[0].T)
+        while not state.done:
+            decoder.step(state, 1)
+        result = decoder.finish(state)
+        assert result.bits.flags.c_contiguous
+        assert result.llr.flags.c_contiguous
+        assert result.llr.dtype == np.float64
+        assert np.array_equal(result.bits, decoder.decode(llr).bits)
+
+    def test_app_view_of_an_empty_batch(self, small_code):
+        state = LayeredDecoder(small_code).begin_decode(
+            np.zeros((0, small_code.n))
+        )
+        assert state.done
+        assert state.app.shape == (0, small_code.n)
+
+    def test_compacted_app_view_tracks_live_frames(
+        self, small_code, small_encoder
+    ):
+        _, _, llr = make_noisy_llrs(small_code, small_encoder, 4.0, 6, 87)
+        decoder = LayeredDecoder(small_code)
+        state = decoder.begin_decode(llr)
+        decoder.step(state, 2)
+        live = int((~state.done_mask).sum())
+        assert state.app.shape == (live, small_code.n)

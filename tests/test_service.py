@@ -24,6 +24,7 @@ from repro.errors import (
     DeadlineExceeded,
     DecoderConfigError,
     ServiceClosedError,
+    ServiceError,
     ServiceOverloaded,
     UnknownCodeError,
 )
@@ -511,6 +512,77 @@ class TestDecodeService:
         # the drain complete before its close() returned.
         assert results == [True, True]
         assert future.result(timeout=1).batch_size == 2
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_close_from_a_done_callback_raises_then_owner_drains(
+        self, executor
+    ):
+        # A request future's done-callback runs inside the delivery of
+        # its outcome, on a thread the drain waits for: close() there
+        # must fail at once with a typed error, not wait on itself, and
+        # must leave the service for its owner to close.
+        svc = DecodeService(
+            workers=1, executor=executor, max_wait=0.001,
+            default_config=FLOAT_CONFIG,
+        )
+        seen = []
+        called = threading.Event()
+
+        def close_from_callback(_future):
+            start = time.monotonic()
+            try:
+                svc.close()
+            except Exception as exc:  # recorded for the assertions
+                seen.append((exc, time.monotonic() - start))
+            called.set()
+
+        future = svc.submit(WIMAX, _llr(WIMAX, 1, seed=37))
+        future.add_done_callback(close_from_callback)
+        assert called.wait(timeout=60)
+        assert future.result(timeout=1).batch_size == 1
+        [(error, elapsed)] = seen
+        assert isinstance(error, ServiceError)
+        assert "another thread" in str(error)
+        assert elapsed < 1.0
+        assert not svc.closed
+        later = svc.submit(WIMAX, _llr(WIMAX, 1, seed=38))
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        assert svc.closed
+        assert later.result(timeout=1).batch_size == 1
+
+    def test_close_from_a_timeout_callback_raises(self, gate):
+        # Expired deadlines are delivered on the dispatcher thread,
+        # which close() joins.
+        svc = DecodeService(
+            workers=1, executor="thread", max_batch=1, max_wait=0.001,
+            default_config=FLOAT_CONFIG,
+        )
+        seen = []
+        called = threading.Event()
+
+        def close_from_callback(_future):
+            try:
+                svc.close()
+            except Exception as exc:  # recorded for the assertions
+                seen.append(exc)
+            called.set()
+
+        blocker = svc._pool.submit("gate")  # occupy the only worker
+        try:
+            late = svc.submit(WIMAX, _llr(WIMAX, 1, seed=39), timeout=0.05)
+            late.add_done_callback(close_from_callback)
+            assert called.wait(timeout=60)
+        finally:
+            gate.set()
+        blocker.result(timeout=60)
+        assert isinstance(late.exception(timeout=1), DeadlineExceeded)
+        [error] = seen
+        assert isinstance(error, ServiceError)
+        svc.close()
+        assert svc.closed
 
     def test_submit_after_close_raises(self):
         svc = DecodeService(default_config=FLOAT_CONFIG)

@@ -257,7 +257,7 @@ def _recorruption_count(code, config, llr):
     live_before = ~state.done_mask
     while not state.done:
         decoder.step(state, 1)
-        bits = (state.arrays[0] < 0).astype(np.uint8)
+        bits = (state.app < 0).astype(np.uint8)
         ever_codeword |= live_before & np.asarray(code.is_codeword(bits))
         live_before = ~state.done_mask
     result = decoder.finish(state)
