@@ -40,9 +40,10 @@ BP_IMPLEMENTATIONS = ("sum-sub", "forward-backward")
 ET_MODES = ("none", "paper", "syndrome", "paper-or-syndrome")
 
 #: Widest fixed-point APP word (``qformat.total_bits + app_extra_bits``)
-#: every backend can decode: both hold their state in int32, and a
-#: layer update forms ``L - Λ`` before saturating it, which needs one
-#: bit of headroom over the APP word.
+#: every backend can decode: the reference holds its state in int32 (as
+#: the fast backend does for words over 15 bits), and a layer update
+#: forms ``L - Λ`` before saturating it, which needs one bit of
+#: headroom over the APP word.
 MAX_APP_BITS = 31
 
 

@@ -135,7 +135,8 @@ class DecoderBackend:
         self.plan = plan
         self.config = config
         #: dtype the decoders allocate working state (APP / Λ memories)
-        #: in; backends may override (e.g. float32 for bandwidth).
+        #: in; backends may override (the fast one narrows it to float32,
+        #: or to int16 for fixed-point APP words of up to 15 bits).
         self.work_dtype = np.int32 if config.is_fixed_point else np.float64
 
     def _select_kernel(self):

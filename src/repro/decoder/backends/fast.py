@@ -22,16 +22,29 @@ of the kernel's view is one contiguous run of ``z·B`` elements: the
 kernels below walk those rows with whole-row numpy calls.  The same
 form serves every batch size.
 
+Fixed-point state is held at the datapath's native width: int16 when
+the APP word is at most :data:`INT16_APP_BITS` bits (every Q8.2
+config), int32 for 16–31-bit words.  Either way the saturation bounds
+are scalars of the state's own dtype, so no pass widens or mixes
+widths.  A zero v→c message is broken with one compare and a fix-up of
+the few zeros through their flat indices (:func:`_break_zeros`), the
+exact result of the reference's
+:func:`~repro.decoder.backends.base.break_zero_messages`.
+
 - **BP sum-subtract, fixed point** — the ⊞ fold (guarded,
   :class:`~repro.decoder.siso.GuardedFixedBPSumSubKernel`, or the
   guard-0 :class:`~repro.fixedpoint.boxplus.FixedBoxOps` one) is a pure
   function of the running fold state and one bounded message, so it is
   *compiled into ROMs* (:class:`FoldROMs`) once per datapath and shared
-  read-only by every decoder.  The fold state is carried as a ROM row
-  base (state row × row width), so each ⊞ step is one add and one
-  ``take``; all ``d`` ⊟ outputs, already rounded back to the message
-  format, come from one more add and ``take``.  Formats whose ROMs would
-  exceed :data:`GUARD_ROM_MAX_ENTRIES` (guarded) or
+  read-only by every decoder.  The fold state is carried as an ``intp``
+  ROM row base (state row × row width): λ becomes ``intp`` offsets once
+  per call, and each ⊞ step is one in-place add and one in-place
+  ``take`` on the row bases, with no index array converted or
+  allocated; all ``d`` ⊟ outputs, already rounded back to the message
+  format, come from one more add and ``take``.  The ``intp`` row bases
+  cost 8 bytes an entry where int32 took 4: at Q8.2, 2 MiB resident
+  for the guard-2 ⊞ ROM (+1 MiB), 8 MiB at guard 4 (+4 MiB).  Formats
+  whose ROMs would exceed :data:`GUARD_ROM_MAX_ENTRIES` (guarded) or
   :data:`PAIR_TABLE_MAX_BITS` (guard 0) fall back to the (still
   vectorized) table folds.
 - **BP sum-subtract, float** — the sequential ⊞ fold is replaced by the
@@ -69,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.decoder.backends.base import DecoderBackend, break_zero_messages
+from repro.decoder.backends.base import DecoderBackend
 from repro.decoder.siso import GuardedFixedBPSumSubKernel, LinearApproxKernel
 from repro.fixedpoint.boxplus import FixedBoxOps, make_guard_tables, phi_transform
 from repro.fixedpoint.quantize import QFormat
@@ -79,11 +92,20 @@ from repro.fixedpoint.quantize import QFormat
 #: (≈ 4 + 2 MiB at 10 bits, ≈ 254 + 127 KiB at the paper's 8).
 PAIR_TABLE_MAX_BITS = 10
 
-#: Entry budget for the guarded state×input ROMs (int32 ⊞ rows + int16
-#: ⊟ outputs).  Q8.2 needs ~259k entries at 2 guard bits (≈ 1.5 MiB for
-#: both tables) and ~1.04M at 4; wider formats fall back to the guarded
-#: table fold.
+#: Entry budget for the guarded state×input ROMs (``intp`` ⊞ row bases
+#: + int16 ⊟ outputs, 10 bytes an entry on 64-bit hosts).  Q8.2 needs
+#: ~259k entries at 2 guard bits (≈ 2.5 MiB for both tables, 1 MiB more
+#: than int32 row bases took) and ~1.04M at 4 (≈ 10 MiB, 4 MiB more);
+#: wider formats fall back to the guarded table fold.
 GUARD_ROM_MAX_ENTRIES = 1 << 20
+
+#: Widest fixed-point APP word (``qformat.total_bits + app_extra_bits``)
+#: whose state the fast backend holds in int16.  The message word is
+#: never wider than the APP word, so ``L - Λ`` and ``λ + Λ'``, the sums
+#: a layer update forms before saturating, stay within ±(2^15 - 2):
+#: no int16 pass can wrap, which matters because int16 arithmetic wraps
+#: without a warning.
+INT16_APP_BITS = 15
 
 #: Φ pole freeze point: inputs below this are treated as this (see
 #: :func:`~repro.fixedpoint.boxplus.phi_transform`).  The smallest
@@ -115,6 +137,21 @@ def _rows(array: np.ndarray) -> np.ndarray:
     if row is None:
         row = _ROW_DTYPES.setdefault(width, np.dtype((np.void, width)))
     return array.view(row).reshape(-1)
+
+
+def _break_zeros(messages: np.ndarray, stored: np.ndarray) -> None:
+    """:func:`~repro.decoder.backends.base.break_zero_messages`, cheaply.
+
+    Zeros are rare (~0.5% of a waterfall decode's messages) but reach
+    nine in ten layer updates, where the boolean-mask form pays a
+    masked gather and a masked assignment over the whole block.  Here
+    one compare finds them and only their flat indices are fixed up,
+    with the same ``±1`` (the sign of the stored Λ, ``+1`` at zero).
+    ``messages`` and ``stored`` have one shape.
+    """
+    at = (messages == 0).reshape(-1).nonzero()[0]
+    if at.size:
+        messages.put(at, np.where(stored.take(at) < 0, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -200,13 +237,14 @@ def _compile(bias: int, seeded, plus, minus) -> FoldROMs:
 
     ``seeded`` is the fold state after one message, ``plus`` /
     ``minus`` the ``(state, message)`` ⊞ state and ⊟ output tables.
-    Row bases fit int32 (≤ ~2^20 entries); ⊟ outputs are messages,
-    which fit int16 for every format a ROM is compiled for.
+    Row bases are ``intp``, the index type ``take`` runs on, so the
+    fold steps on them in place; ⊟ outputs are messages, which fit
+    int16 for every format a ROM is compiled for.
     """
     width = seeded.size
     arrays = (
-        ((seeded + bias) * width).astype(np.int32),
-        ((plus + bias) * width).reshape(-1).astype(np.int32),
+        ((seeded + bias) * width).astype(np.intp),
+        ((plus + bias) * width).reshape(-1).astype(np.intp),
         minus.reshape(-1).astype(np.int16),
     )
     for array in arrays:
@@ -222,11 +260,15 @@ class FastBackend(DecoderBackend):
     def __init__(self, plan, config):
         super().__init__(plan, config)
         self._fixed = config.is_fixed_point
-        # Saturation bounds of the message port and the APP write-back.
+        # Saturation bounds of the message port and the APP write-back,
+        # as scalars of the state's dtype: a wider bound would run the
+        # clip in the wider type.
         if self._fixed:
-            self._max_int = np.int32(config.qformat.max_int)
+            if config.app_qformat.total_bits <= INT16_APP_BITS:
+                self.work_dtype = np.int16
+            self._max_int = self.work_dtype(config.qformat.max_int)
             self._msg_clip = self._max_int
-            self._app_clip = np.int32(config.app_qformat.max_int)
+            self._app_clip = self.work_dtype(config.app_qformat.max_int)
         else:
             self._msg_clip = float(config.llr_clip)
             self._app_clip = float(config.effective_app_clip)
@@ -256,7 +298,7 @@ class FastBackend(DecoderBackend):
         # pass where np.minimum + np.maximum are two.
         lam_new.clip(-self._msg_clip, self._msg_clip, out=lam_new)
         if self._fixed:
-            break_zero_messages(lam_new, stored)
+            _break_zeros(lam_new, stored)
         lambda_new = self._kernel(lam_new)
         np.add(lam_new, lambda_new, out=lam_new)
         lam_new.clip(-self._app_clip, self._app_clip, out=lam_new)
@@ -309,15 +351,22 @@ class FastBackend(DecoderBackend):
     def _bp_sumsub_fixed_rom(self, lam):
         _check_degree(lam)
         roms = self._roms
-        offset = self.plan.scratch("rom_offset", lam.shape, np.int32)
+        scratch = self.plan.scratch
+        # λ becomes intp ROM offsets once.  Each ⊞ step then adds one
+        # offset row to the row bases and looks the next bases up in
+        # place: under mode="wrap" (every address is in range) ``take``
+        # writes straight into ``out``, where "raise" buffers a copy,
+        # and an intp index array needs no conversion.
+        offset = scratch("rom_offset", lam.shape, np.intp)
         np.add(lam, self._max_int, out=offset)
-        base = roms.first.take(offset[:, 0, :])
+        base = scratch("rom_base", offset[:, 0, :].shape, np.intp)
+        roms.first.take(offset[:, 0, :], out=base, mode="wrap")
         for i in range(1, lam.shape[1]):
             base += offset[:, i, :]
-            base = roms.rows.take(base)
+            roms.rows.take(base, out=base, mode="wrap")
         # All d ⊟ outputs at once: the final row base plus each offset.
         offset += base[:, None, :]
-        return roms.minus.take(offset)
+        return roms.minus.take(offset, mode="wrap")
 
     # ------------------------------------------------------------------
     # Fixed point, guard 0, wide formats: fold over flat tables
@@ -490,7 +539,11 @@ class FastBackend(DecoderBackend):
                 min1 = np.floor(min1 * config.normalization).astype(lam.dtype)
                 min2 = np.floor(min2 * config.normalization).astype(lam.dtype)
         elif config.check_node == "offset-minsum":
-            offset = int(np.rint(config.offset * qformat.scale))
+            # Capped at max_int so the subtraction stays in an int16
+            # state's range: no minimum exceeds max_int, so a larger
+            # offset zeroes every magnitude all the same.
+            offset = min(int(np.rint(config.offset * qformat.scale)),
+                         qformat.max_int)
             min1 = np.maximum(min1 - offset, 0)
             min2 = np.maximum(min2 - offset, 0)
         # Magnitudes are already within the representable range (minima

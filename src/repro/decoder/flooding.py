@@ -127,7 +127,8 @@ class FloodingDecoder:
         lam = new_lambda
 
         # Variable phase: APP = channel + sum of check messages, held in
-        # the wider APP accumulator format.
+        # the wider APP accumulator format (and stored back in the
+        # backend's working dtype).
         accumulator = channel.astype(
             np.int64 if config.is_fixed_point else self.backend.work_dtype,
             copy=True,
@@ -137,7 +138,9 @@ class FloodingDecoder:
                 flat.size, -1
             )
         if config.is_fixed_point:
-            l_total = config.app_qformat.saturate(accumulator)
+            l_total = config.app_qformat.saturate(accumulator).astype(
+                channel.dtype, copy=False
+            )
         else:
             l_total = np.clip(
                 accumulator,

@@ -14,7 +14,8 @@ their structure still admits O(N) encoding in two stages:
    information and core-parity columns.
 
 This replaces the O(M^3) GF(2) elimination the generic fallback would
-run (prohibitive at Z = 384, where M = 17664 for BG1) with a handful of
+run (prohibitive at Z = 384, where M = 17664 for BG1) with one syndrome
+of ``[u | 0]`` through the code's shift table and a handful of
 ``np.roll`` / XOR passes.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from repro.codes.base_matrix import ZERO_BLOCK
 from repro.codes.qc import QCLDPCCode
+from repro.encoder.systematic import info_syndromes
 from repro.errors import EncodingError
 
 __all__ = ["NRSystematicEncoder", "detect_nr_structure"]
@@ -109,19 +111,6 @@ class NRSystematicEncoder:
         self.code = code
         self.structure = detect_nr_structure(code)
 
-    def _syndromes(self, info: np.ndarray) -> np.ndarray:
-        """Per-row syndromes of the information part, shape (B, j, z)."""
-        base = self.code.base
-        z = base.z
-        kb = self.structure.kb
-        syndromes = np.zeros((info.shape[0], base.j, z), dtype=np.uint8)
-        for block in base.nonzero_blocks():
-            if block.column >= kb:
-                continue
-            u = info[:, block.column * z : (block.column + 1) * z]
-            syndromes[:, block.layer, :] ^= np.roll(u, -block.shift, axis=1)
-        return syndromes
-
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode information bits into systematic codewords ``[u | p]``."""
         base = self.code.base
@@ -138,7 +127,7 @@ class NRSystematicEncoder:
                 f"info length {info.shape[1]} != K={self.code.n_info}"
             )
         batch = info.shape[0]
-        syndromes = self._syndromes(info)
+        syndromes = info_syndromes(self.code, info)
 
         # Stage 1 — core solve (rows 0..3): summing the four core rows
         # cancels the staircase pairs and the equal top/bottom shifts,

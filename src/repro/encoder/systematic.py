@@ -12,7 +12,8 @@ standards):
 
 Encoding:
 
-1. per-layer information syndromes ``s_l = sum_c I_{x(l,c)} u_c``;
+1. per-layer information syndromes ``s_l = sum_c I_{x(l,c)} u_c``, the
+   code's syndrome of ``[u | 0]`` (:func:`info_syndromes`);
 2. ``v0 = I_{-x_mid} * sum_l s_l`` (dual-diagonal pairs cancel, the equal
    top/bottom shifts cancel, leaving the middle entry);
 3. forward substitution down the staircase recovers ``v1 .. v_{j-1}``;
@@ -43,6 +44,19 @@ class _ParityStructure:
     bot_row: int
     p0_shift: int  # common shift of the top/bottom entries
     mid_shift: int  # shift of the middle entry (0 in the standards)
+
+
+def info_syndromes(code: QCLDPCCode, info: np.ndarray) -> np.ndarray:
+    """Per-layer syndromes of the information part, shape ``(B, j, z)``.
+
+    The syndrome of ``[u | 0]``: with the parity part zero, check row
+    ``r`` of layer ``l`` is ``sum_c I_{x(l,c)} u_c``, read through the
+    code's shift table.
+    """
+    batch = info.shape[0]
+    word = np.zeros((batch, code.n), dtype=np.uint8)
+    word[:, : code.n_info] = info
+    return code.syndrome(word).reshape(batch, code.base.j, code.z)
 
 
 def detect_parity_structure(code: QCLDPCCode) -> _ParityStructure:
@@ -116,20 +130,6 @@ class SystematicQCEncoder:
         self.code = code
         self.structure = detect_parity_structure(code)
 
-    def _info_syndromes(self, info: np.ndarray) -> np.ndarray:
-        """Per-layer syndromes of the information part, shape (B, j, z)."""
-        base = self.code.base
-        z = base.z
-        batch = info.shape[0]
-        syndromes = np.zeros((batch, base.j, z), dtype=np.uint8)
-        for block in base.nonzero_blocks():
-            if block.column >= base.k - base.j:
-                continue
-            u = info[:, block.column * z : (block.column + 1) * z]
-            # I_x gathers u[(r + x) mod z] into check row r.
-            syndromes[:, block.layer, :] ^= np.roll(u, -block.shift, axis=1)
-        return syndromes
-
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode information bits into systematic codewords.
 
@@ -163,7 +163,7 @@ class SystematicQCEncoder:
         batch = info.shape[0]
         structure = self.structure
 
-        syndromes = self._info_syndromes(info)
+        syndromes = info_syndromes(self.code, info)
 
         # Step 2: v0 from the sum of all layer syndromes.
         total = np.bitwise_xor.reduce(syndromes, axis=1)

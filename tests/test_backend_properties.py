@@ -33,11 +33,13 @@ import pytest
 from repro.codes import QCLDPCCode, build_qc_base_matrix
 from repro.decoder import (
     CHECK_NODE_ALGORITHMS,
+    DecodePlan,
     DecoderConfig,
     FloodingDecoder,
     LayeredDecoder,
     registered_backends,
 )
+from repro.decoder.backends import make_backend
 from repro.encoder import make_encoder
 from repro.errors import CodeConstructionError, EncodingError
 from repro.fixedpoint import QFormat
@@ -118,10 +120,16 @@ def _random_config_kwargs(rng: np.random.Generator, j: int) -> dict:
     if check_node == "bp":
         kwargs["bp_impl"] = str(rng.choice(["sum-sub", "forward-backward"]))
     if rng.random() < 0.5:
-        kwargs["qformat"] = QFormat(int(rng.choice([6, 8])), 2)
+        total_bits = int(rng.choice([6, 8]))
+        kwargs["qformat"] = QFormat(total_bits, 2)
         # Cover both the guarded (default) and the seed-era
         # single-resolution fixed sum-sub folds.
         kwargs["siso_guard_bits"] = int(rng.choice([0, 2]))
+        # The paper's 2 extra APP bits, or an APP word on either side
+        # of the fast backend's int16 (<= 15 bits) / int32 boundary.
+        kwargs["app_extra_bits"] = int(
+            rng.choice([2, 15 - total_bits, 16 - total_bits])
+        )
     else:
         kwargs["llr_clip"] = float(rng.choice([16.0, 256.0]))
     if rng.random() < 0.3:
@@ -153,9 +161,17 @@ def _build_matrix() -> tuple[list[QCLDPCCode], list[Case]]:
                     # Both fixed-BP fold modes (guard 0 and guarded) at
                     # every seed: code 0 pins guard 0, codes 1-2 guard.
                     kwargs["siso_guard_bits"] = code_index % 3
+                    # Both state widths at every seed: code 0 pins a
+                    # 15-bit APP word (int16 state), code 1 a 16-bit
+                    # one (int32); code 2 keeps its draw.
+                    if code_index < 2:
+                        kwargs["app_extra_bits"] = (
+                            15 + code_index - kwargs["qformat"].total_bits
+                        )
                 else:
                     kwargs.pop("qformat", None)
                     kwargs.pop("siso_guard_bits", None)
+                    kwargs.pop("app_extra_bits", None)
             schedule = str(rng.choice(list(SCHEDULES)))
             if schedule == "flooding":
                 kwargs.pop("layer_order", None)
@@ -399,6 +415,20 @@ def test_matrix_covers_both_guard_modes():
     }
     assert 0 in guards, "seed-era (guard 0) fixed BP fold never exercised"
     assert any(g for g in guards if g), "guarded fixed BP fold never exercised"
+
+
+def test_matrix_covers_both_state_widths():
+    """Fixed-point cases reach the fast backend's int16 state (APP words
+    of at most 15 bits) and its int32 state (16 bits and over)."""
+    widths = {
+        np.dtype(
+            make_backend(
+                DecodePlan(CODES[c.code_index]), c.config(backend="fast")
+            ).work_dtype
+        )
+        for c in FIXED_CASES
+    }
+    assert widths == {np.dtype(np.int16), np.dtype(np.int32)}, widths
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ Contracts verified here:
 - the frame-minor layer update of a batch equals the same frames
   updated one at a time, and the fast layer update equals the
   reference one from arbitrary state;
+- the fast backend holds fixed-point state in int16 exactly when the
+  APP word has at most 15 bits (int32 from 16), on ``intp`` ROM row
+  bases; its layer update matches the reference on railed 15- and
+  16-bit APP words, and on layers where many messages are exactly zero;
 - registry selection: ``fast`` by default whatever the environment
   says, ``reference`` by name, unknown-name errors.
 """
@@ -399,6 +403,51 @@ class TestFusedKernels:
         assert getattr(kernel, "__func__", kernel) is fused
 
 
+class TestStateWidth:
+    """The fast backend holds fixed-point state at its native width.
+
+    int16 exactly when the APP word (``qformat.total_bits +
+    app_extra_bits``) has at most 15 bits, int32 from 16 bits, and the
+    reference oracle always int32.  Too wide a pick changes no output,
+    only the speed, so no output comparison can see it; this checks the
+    pick itself, and the ``intp`` row bases the ROM fold steps on.
+    """
+
+    @pytest.mark.parametrize(
+        "qformat, app_extra_bits, dtype",
+        [
+            (QFormat(8, 2), 2, np.int16),
+            (QFormat(8, 2), 7, np.int16),
+            (QFormat(8, 2), 8, np.int32),
+            (QFormat(6, 2), 9, np.int16),
+            (QFormat(6, 2), 10, np.int32),
+            (QFormat(12, 3), 3, np.int16),
+            (QFormat(12, 3), 4, np.int32),
+        ],
+        ids=lambda v: str(v) if not isinstance(v, type) else v.__name__,
+    )
+    def test_work_dtype_follows_app_width(
+        self, small_code, qformat, app_extra_bits, dtype
+    ):
+        config = DecoderConfig(
+            backend="fast", qformat=qformat, app_extra_bits=app_extra_bits
+        )
+        plan = DecodePlan(small_code)
+        assert FastBackend(plan, config).work_dtype is dtype
+        reference = ReferenceBackend(plan, config.replace(backend="reference"))
+        assert reference.work_dtype is np.int32
+        state = LayeredDecoder(small_code, config, plan).begin_decode(
+            np.ones((2, small_code.n))
+        )
+        assert [a.dtype for a in state.arrays] == [np.dtype(dtype)] * 2
+
+    @pytest.mark.parametrize("guard_bits", range(5))
+    def test_q82_rom_row_bases_are_intp(self, guard_bits):
+        roms = fold_roms(QFormat(8, 2), guard_bits)
+        assert roms.first.dtype == roms.rows.dtype == np.intp
+        assert roms.minus.dtype == np.int16
+
+
 class TestFloatEquivalence:
     def test_fast_f32_kernel_atol(self, rng):
         config = DecoderConfig(backend="fast")
@@ -505,8 +554,8 @@ def random_state(code, plan, config, batch, rng, work_dtype):
     """Arbitrary frame-minor ``(N, B)`` APP and ``(blocks, z, B)`` Λ state.
 
     Railed APP words and zero messages are the corners decodes rarely
-    reach; frame 0 gets the railed APP words and frame 1 (when there is
-    one) the zero messages.
+    reach; frame 0 gets the railed APP words (against railed Λ in fixed
+    point) and frame 1 (when there is one) the zero messages.
     """
     shape = (plan.total_blocks, plan.z, batch)
     if config.is_fixed_point:
@@ -514,7 +563,11 @@ def random_state(code, plan, config, batch, rng, work_dtype):
         msg_max = config.qformat.max_int
         app = rng.integers(-app_max, app_max + 1, (code.n, batch))
         lam = rng.integers(-msg_max, msg_max + 1, shape)
+        # Frame 0: APP words railed at both signs against Λ railed at
+        # both signs, so ``L - Λ`` reaches ±(app_max + msg_max).
         app[::3, 0] = app_max
+        app[1::3, 0] = -app_max
+        lam[..., 0] = np.where(rng.random(shape[:2]) < 0.5, msg_max, -msg_max)
         lam[:, ::2, 1:2] = 0
     else:
         app = rng.normal(0.0, 8.0, (code.n, batch))
@@ -571,9 +624,13 @@ class TestLayerUpdateMatchesReference:
 
     Decodes only reach the states a channel drives them to; random
     states (railed APP words, saturated Λ memories, zero messages) hit
-    the saturation and zero-breaking corners directly.  The float BP
-    sum-subtract slot is left out: its Φ-domain evaluation is checked
-    to a tolerance per call (:class:`TestFloatEquivalence`), not exactly.
+    the saturation and zero-breaking corners directly.  The 15- and
+    16-bit APP cases sit on either side of the fast backend's int16 /
+    int32 state boundary: int16 arithmetic wraps without a warning, so
+    a state too narrow for its railed words shows only here, as a
+    mismatch.  The float BP sum-subtract slot is left out: its
+    Φ-domain evaluation is checked to a tolerance per call
+    (:class:`TestFloatEquivalence`), not exactly.
     """
 
     @pytest.mark.parametrize(
@@ -583,10 +640,16 @@ class TestLayerUpdateMatchesReference:
             dict(qformat=QFormat(8, 2), siso_guard_bits=2),
             dict(qformat=QFormat(12, 3), siso_guard_bits=0),
             dict(qformat=QFormat(12, 3), siso_guard_bits=2),
+            dict(qformat=QFormat(8, 2), app_extra_bits=7),
+            dict(qformat=QFormat(8, 2), app_extra_bits=8),
+            dict(qformat=QFormat(8, 2), app_extra_bits=7,
+                 check_node="linear-approx"),
             dict(qformat=QFormat(8, 2), bp_impl="forward-backward"),
             dict(qformat=QFormat(8, 2), check_node="minsum"),
             dict(qformat=QFormat(8, 2), check_node="normalized-minsum"),
             dict(qformat=QFormat(8, 2), check_node="offset-minsum"),
+            dict(qformat=QFormat(8, 2), check_node="offset-minsum",
+                 offset=1e4),
             dict(qformat=QFormat(8, 2), check_node="linear-approx"),
             dict(bp_impl="forward-backward"),
             dict(check_node="minsum"),
@@ -597,7 +660,9 @@ class TestLayerUpdateMatchesReference:
         ids=[
             "bp-q82-guard0-rom", "bp-q82-guard2-rom",
             "bp-q12.3-guard0-flat", "bp-q12.3-guard2-table",
-            "fwdbwd-q82", "ms-q82", "nms-q82", "oms-q82", "linear-q82",
+            "bp-q82-app15-int16", "bp-q82-app16-int32", "linear-q82-app15",
+            "fwdbwd-q82", "ms-q82", "nms-q82", "oms-q82",
+            "oms-q82-offset-past-int16", "linear-q82",
             "fwdbwd-float", "ms-float", "nms-float", "oms-float",
             "linear-float",
         ],
@@ -615,6 +680,45 @@ class TestLayerUpdateMatchesReference:
         app_fast = app.astype(fast.work_dtype)
         lam_fast = lam.astype(fast.work_dtype)
         for pos in range(plan.num_layers):
+            reference.update_layer(app_ref, lam_ref, pos)
+            fast.update_layer(app_fast, lam_fast, pos)
+            assert np.array_equal(app_ref, app_fast), f"APP after layer {pos}"
+            assert np.array_equal(lam_ref, lam_fast), f"Λ after layer {pos}"
+
+
+class TestZeroMessages:
+    """The fast zero-break equals the reference's on zero-heavy layers.
+
+    A message is exactly zero when an APP word equals its stored Λ.
+    Before each layer update, a quarter of the layer's APP words are
+    set equal to their Λ, with Λ negative, zero and positive among
+    them: each zero must become ``±1`` with the sign of its Λ, ``+1``
+    at Λ = 0, in the batch shapes decodes run (one frame, 32 frames).
+    """
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_zero_heavy_layer_update_matches_reference(
+        self, tiny_code, rng, batch
+    ):
+        plan = DecodePlan(tiny_code)
+        config = DecoderConfig(qformat=QFormat(8, 2))
+        reference = ReferenceBackend(plan, config.replace(backend="reference"))
+        fast = FastBackend(plan, config.replace(backend="fast"))
+        app, lam = random_state(tiny_code, plan, config, batch, rng, np.int64)
+        lam.reshape(-1)[::5] = 0
+        app_ref = app.astype(reference.work_dtype)
+        lam_ref = lam.astype(reference.work_dtype)
+        app_fast = app.astype(fast.work_dtype)
+        lam_fast = lam.astype(fast.work_dtype)
+        for pos in range(plan.num_layers):
+            flat = plan.flat_indices[pos]
+            stored = lam_ref[plan.lambda_slices[pos]].reshape(flat.size, -1)
+            equal = rng.random(stored.shape) < 0.25
+            for sign in (-1, 0, 1):
+                equal.flat[np.flatnonzero(np.sign(stored) == sign)[0]] = True
+            for state in (app_ref, app_fast):
+                state[flat] = np.where(equal, stored, state[flat])
+            assert (app_ref[flat] == stored).mean() >= 0.1
             reference.update_layer(app_ref, lam_ref, pos)
             fast.update_layer(app_fast, lam_fast, pos)
             assert np.array_equal(app_ref, app_fast), f"APP after layer {pos}"
